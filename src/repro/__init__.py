@@ -6,8 +6,8 @@ A from-scratch Python implementation of every algorithm in
     "Scheduling on (Un-)Related Machines with Setup Times", IPPS 2019
     (arXiv:1809.10428),
 
-together with the substrates needed to evaluate them: an LP/MILP modelling
-layer over SciPy's HiGHS solvers, a SetCover substrate for the hardness
+together with the substrates needed to evaluate them: an array-form LP/MILP
+solve over SciPy's HiGHS solvers, a SetCover substrate for the hardness
 reduction, synthetic instance generators for every machine environment, and
 an experiment harness that verifies each proven approximation guarantee.
 
@@ -21,7 +21,7 @@ Quick start
 Package map
 -----------
 ``repro.core``        instances, schedules, bounds, dual approximation
-``repro.lp``          LP/MILP modelling layer (substrate)
+``repro.lp``          array-form LP/MILP solve over SciPy's HiGHS (substrate)
 ``repro.setcover``    SetCover substrate + Section 3.2 hardness reduction
 ``repro.generators``  synthetic instance generators and experiment suites
 ``repro.algorithms``  every algorithm of the paper + baselines + exact solvers

@@ -31,13 +31,12 @@ pseudo-forest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.instance import Instance
-from repro.lp.model import Model, ObjectiveSense
-from repro.lp.solution import SolutionStatus
+from repro.lp import SolutionStatus, solve
 
 __all__ = ["RelaxedRAResult", "solve_lp_relaxed_ra", "class_workload_matrix"]
 
@@ -124,62 +123,43 @@ def solve_lp_relaxed_ra(
     inst = instance
     workload = class_workload_matrix(inst)
     per_job = _per_job_time_matrix(inst)
-    classes = [int(k) for k in inst.classes_present()]
+    classes = inst.classes_present()
+    infeasible = RelaxedRAResult(False, float(guess), np.zeros_like(workload),
+                                 workload, per_job)
 
-    model = Model(f"lp-relaxed-ra-{inst.name}")
-    x_vars: Dict[Tuple[int, int], object] = {}
-    for k in classes:
-        for i in range(inst.num_machines):
-            s = inst.setups[i, k]
-            w = workload[i, k]
-            if not np.isfinite(s) or not np.isfinite(w):
-                continue
-            if variant == "restrictions":
-                if s > guess + tolerance:
-                    continue  # constraint (14)
-            else:
-                # constraint (16): the per-job time plus setup must fit.
-                if s + per_job[i, k] > guess + tolerance:
-                    continue
-            x_vars[i, k] = model.add_var(f"x[{i},{k}]", lower=0.0, upper=1.0)
-
+    # One column per eligible (machine, class) pair, class by class.
+    setups, loads = inst.setups[:, classes].T, workload[:, classes].T
+    if variant == "restrictions":
+        fits = setups <= guess + tolerance  # constraint (14)
+    else:
+        # constraint (16): the per-job time plus setup must fit.
+        fits = setups + per_job[:, classes].T <= guess + tolerance
+    kpos, machine = np.nonzero(np.isfinite(setups) & np.isfinite(loads) & fits)
     # Constraint (12): each (non-empty) class fully distributed.
-    for k in classes:
-        vars_k = [x_vars[i, k] for i in range(inst.num_machines) if (i, k) in x_vars]
-        if not vars_k:
-            return RelaxedRAResult(False, float(guess),
-                                   np.zeros_like(workload), workload, per_job)
-        model.add_constraint(sum(v for v in vars_k), "==", 1.0, name=f"dist[{k}]")
+    if np.unique(kpos).size < classes.size:
+        return infeasible
+    num_cols = kpos.size
+    cols = np.arange(num_cols)
+    s, w = setups[kpos, machine], loads[kpos, machine]
+    a_eq = sparse.csr_matrix((np.ones(num_cols), (kpos, cols)),
+                             shape=(classes.size, num_cols))
 
-    # Constraint (11): machine capacity with the α_ik surcharge.
-    for i in range(inst.num_machines):
-        terms = []
-        for k in classes:
-            if (i, k) not in x_vars:
-                continue
-            s = float(inst.setups[i, k])
-            w = float(workload[i, k])
-            denom = guess - s
-            alpha = 1.0 if denom <= 0 else max(1.0, w / denom) if denom > 0 else 1.0
-            if denom <= 0:
-                # s == guess (within tolerance): the class can only be placed
-                # here with zero workload; α is irrelevant but keep it finite.
-                alpha = 1.0
-            terms.append((x_vars[i, k], w + alpha * s))
-        if not terms:
-            continue
-        expr = sum(coeff * var for var, coeff in terms)
-        model.add_constraint(expr, "<=", float(guess), name=f"cap[{i}]")
+    # Constraint (11): machine capacity with the α_ik surcharge.  Where
+    # s_ik == T (within tolerance) the class can only be placed with zero
+    # workload; α is irrelevant there but kept finite at 1.
+    denom = guess - s
+    alpha = np.maximum(1.0, np.divide(w, denom, out=np.ones(num_cols), where=denom > 0))
+    used = np.unique(machine)
+    cap_row = np.searchsorted(used, machine)
+    a_ub = sparse.csr_matrix((w + alpha * s, (cap_row, cols)),
+                             shape=(used.size, num_cols))
 
     # Any feasible point suffices; minimise total setup surcharge to bias the
     # solver toward sparse supports (still a vertex of the same polytope).
-    objective = sum(float(inst.setups[i, k]) * var for (i, k), var in x_vars.items())
-    model.set_objective(objective if x_vars else 0.0, sense=ObjectiveSense.MINIMIZE)
-    sol = model.solve(vertex=True)
+    sol = solve(s, a_ub, np.full(used.size, float(guess)), a_eq, np.ones(classes.size),
+                0.0, 1.0, vertex=True)
     if sol.status is not SolutionStatus.OPTIMAL:
-        return RelaxedRAResult(False, float(guess),
-                               np.zeros_like(workload), workload, per_job)
+        return infeasible
     x = np.zeros((inst.num_machines, inst.num_classes))
-    for (i, k), var in x_vars.items():
-        x[i, k] = max(0.0, float(sol.value(var)))
+    x[machine, classes[kpos]] = np.maximum(0.0, sol.values)
     return RelaxedRAResult(True, float(guess), x, workload, per_job)

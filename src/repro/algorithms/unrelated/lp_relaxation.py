@@ -11,13 +11,12 @@ optimum is at most ``T``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.core.ilp_um import build_ilp_um, gather
 from repro.core.instance import Instance
-from repro.lp.model import Model, ObjectiveSense
-from repro.lp.solution import SolutionStatus
+from repro.lp import SolutionStatus
 
 __all__ = ["LPRelaxationResult", "solve_ilp_um_relaxation"]
 
@@ -64,66 +63,21 @@ def solve_ilp_um_relaxation(instance: Instance, guess: float,
     filtering of constraint (5)).
     """
     inst = instance
-    model = Model(f"lp-um-{inst.name}")
-    z = model.add_var("Z", lower=0.0)
-    x_vars: Dict[Tuple[int, int], object] = {}
-    y_vars: Dict[Tuple[int, int], object] = {}
-    for i in range(inst.num_machines):
-        for k in range(inst.num_classes):
-            s = inst.setups[i, k]
-            if np.isfinite(s) and s <= guess + tolerance:
-                y_vars[i, k] = model.add_var(f"y[{i},{k}]", lower=0.0, upper=1.0)
-        for j in range(inst.num_jobs):
-            p = inst.processing[i, j]
-            if not np.isfinite(p) or p > guess + tolerance:
-                continue  # ineligible or filtered by constraint (5)
-            k = inst.job_class(j)
-            if (i, k) not in y_vars:
-                continue
-            x_vars[i, j] = model.add_var(f"x[{i},{j}]", lower=0.0, upper=1.0)
-
-    # Constraint (2): every job fully assigned.  If some job lost all its
-    # machines to the filtering, the guess is infeasible outright.
-    for j in range(inst.num_jobs):
-        vars_j = [x_vars[i, j] for i in range(inst.num_machines) if (i, j) in x_vars]
-        if not vars_j:
-            return LPRelaxationResult(
-                feasible=False, guess=float(guess), fractional_makespan=float("inf"),
-                x=np.zeros((inst.num_machines, inst.num_jobs)),
-                y=np.zeros((inst.num_machines, inst.num_classes)))
-        model.add_constraint(sum(v for v in vars_j), "==", 1.0, name=f"assign[{j}]")
-
-    # Constraint (1): machine loads bounded by Z.
-    for i in range(inst.num_machines):
-        terms = [(x_vars[i, j], float(inst.processing[i, j]))
-                 for j in range(inst.num_jobs) if (i, j) in x_vars]
-        terms += [(y_vars[i, k], float(inst.setups[i, k]))
-                  for k in range(inst.num_classes) if (i, k) in y_vars]
-        if not terms:
-            continue
-        expr = sum(coeff * var for var, coeff in terms) - z
-        model.add_constraint(expr, "<=", 0.0, name=f"load[{i}]")
-
-    # Constraint (4): setup coupling.
-    for (i, j), var in x_vars.items():
-        k = inst.job_class(j)
-        model.add_constraint(var - y_vars[i, k], "<=", 0.0, name=f"couple[{i},{j}]")
-
-    model.set_objective(z, sense=ObjectiveSense.MINIMIZE)
+    infeasible = LPRelaxationResult(
+        feasible=False, guess=float(guess), fractional_makespan=float("inf"),
+        x=np.zeros((inst.num_machines, inst.num_jobs)),
+        y=np.zeros((inst.num_machines, inst.num_classes)))
+    # Constraint (2) needs a column for every job: a job that lost all its
+    # machines to the filtering makes the guess infeasible outright.
+    model = build_ilp_um(inst, guess, tolerance=tolerance)
+    if model is None:
+        return infeasible
     sol = model.solve()
     if sol.status is not SolutionStatus.OPTIMAL:
-        return LPRelaxationResult(
-            feasible=False, guess=float(guess), fractional_makespan=float("inf"),
-            x=np.zeros((inst.num_machines, inst.num_jobs)),
-            y=np.zeros((inst.num_machines, inst.num_classes)))
-
-    x = np.zeros((inst.num_machines, inst.num_jobs))
-    y = np.zeros((inst.num_machines, inst.num_classes))
-    for (i, j), var in x_vars.items():
-        x[i, j] = max(0.0, sol.value(var))
-    for (i, k), var in y_vars.items():
-        y[i, k] = max(0.0, sol.value(var))
+        return infeasible
     fractional = float(sol.objective)
     feasible = fractional <= guess * (1.0 + 1e-9) + tolerance
     return LPRelaxationResult(
-        feasible=feasible, guess=float(guess), fractional_makespan=fractional, x=x, y=y)
+        feasible=feasible, guess=float(guess), fractional_makespan=fractional,
+        x=np.maximum(0.0, gather(model.x_col, sol.values)),
+        y=np.maximum(0.0, gather(model.y_col, sol.values)))

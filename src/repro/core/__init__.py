@@ -13,7 +13,9 @@ classes defined here:
 :mod:`repro.core.bounds` provides valid lower and upper bounds on the
 optimal makespan and :mod:`repro.core.dual` the Hochbaum–Shmoys dual
 approximation framework (binary search over makespan guesses) that most of
-the paper's algorithms plug into.
+the paper's algorithms plug into.  :mod:`repro.core.ilp_um` builds ILP-UM
+(Section 3) as solver arrays for the LP relaxation, the exact MILP and the
+LP lower bound.
 """
 
 from repro.core.instance import Instance, MachineEnvironment

@@ -7,36 +7,27 @@ classical SetCover gap, so experiment E4 reports both side by side.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
+from scipy import sparse
 
-from repro.lp.model import Model, ObjectiveSense
-from repro.lp.solution import SolutionStatus
+from repro.lp import SolutionStatus, solve
 from repro.setcover.instance import SetCoverInstance
 
 __all__ = ["lp_cover_value", "ilp_cover_value"]
 
 
-def _build_cover_model(instance: SetCoverInstance, *, integral: bool) -> Tuple[Model, list]:
-    model = Model(f"setcover-{instance.name}")
-    x = [model.add_var(f"x[{s}]", lower=0.0, upper=1.0, integral=integral)
-         for s in range(instance.num_subsets)]
-    membership = instance.membership_matrix()
-    for e in range(instance.universe_size):
-        containing = np.flatnonzero(membership[:, e])
-        expr = sum(x[int(s)] for s in containing)
-        model.add_constraint(expr, ">=", 1.0, name=f"cover[{e}]")
-    model.set_objective(sum(v for v in x), sense=ObjectiveSense.MINIMIZE)
-    return model, x
+def _cover_arrays(instance: SetCoverInstance) -> tuple:
+    """``min Σ_s x_s`` s.t. every element is covered, ``0 ≤ x ≤ 1``, as solver arrays."""
+    covers = sparse.csr_matrix(instance.membership_matrix().T, dtype=float)
+    return (np.ones(instance.num_subsets), -covers, -np.ones(instance.universe_size),
+            None, None, 0.0, 1.0)
 
 
 def lp_cover_value(instance: SetCoverInstance) -> float:
     """Optimal value of the fractional SetCover LP."""
     if instance.universe_size == 0:
         return 0.0
-    model, _ = _build_cover_model(instance, integral=False)
-    sol = model.solve()
+    sol = solve(*_cover_arrays(instance))
     if sol.status is not SolutionStatus.OPTIMAL:
         raise RuntimeError(f"SetCover LP failed: {sol.message}")
     return float(sol.objective)
@@ -46,8 +37,8 @@ def ilp_cover_value(instance: SetCoverInstance, *, time_limit: float | None = 30
     """Optimal integral cover size via the MILP backend (small/medium instances)."""
     if instance.universe_size == 0:
         return 0
-    model, x = _build_cover_model(instance, integral=True)
-    sol = model.solve(as_mip=True, time_limit=time_limit)
+    sol = solve(*_cover_arrays(instance), integrality=np.ones(instance.num_subsets, dtype=int),
+                time_limit=time_limit)
     if not sol.has_solution:
         raise RuntimeError(f"SetCover ILP failed: {sol.message}")
     return int(round(sol.objective))

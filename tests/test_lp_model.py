@@ -1,191 +1,94 @@
-"""Tests for the LP/MILP modelling layer (repro.lp)."""
+"""Tests for the array-form LP/MILP solve (repro.lp)."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from repro.lp import LinExpr, Model, ObjectiveSense, SolutionStatus, Variable
-from repro.lp.expression import as_expr
-
-
-class TestExpressions:
-    def test_variable_arithmetic(self):
-        m = Model()
-        x = m.add_var("x")
-        y = m.add_var("y")
-        expr = 2 * x + y - 3.0
-        assert expr.coeffs == {0: 2.0, 1: 1.0}
-        assert expr.constant == -3.0
-
-    def test_expression_addition_merges_terms(self):
-        m = Model()
-        x = m.add_var("x")
-        expr = x + x + x
-        assert expr.coeffs == {0: 3.0}
-
-    def test_cancellation_removes_term(self):
-        m = Model()
-        x = m.add_var("x")
-        expr = x - x
-        assert expr.coeffs == {}
-
-    def test_negation_and_rsub(self):
-        m = Model()
-        x = m.add_var("x")
-        expr = 5.0 - x
-        assert expr.coeffs == {0: -1.0}
-        assert expr.constant == 5.0
-        assert (-x).coeffs == {0: -1.0}
-
-    def test_scalar_multiplication(self):
-        m = Model()
-        x = m.add_var("x")
-        y = m.add_var("y")
-        expr = (x + 2 * y) * 3
-        assert expr.coeffs == {0: 3.0, 1: 6.0}
-
-    def test_value_evaluation(self):
-        m = Model()
-        x = m.add_var("x")
-        y = m.add_var("y")
-        expr = 2 * x + y + 1.0
-        assert expr.value(np.array([3.0, 4.0])) == pytest.approx(11.0)
-
-    def test_from_terms(self):
-        m = Model()
-        x = m.add_var("x")
-        y = m.add_var("y")
-        expr = LinExpr.from_terms([(x, 1.5), (y, -2.0)], constant=1.0)
-        assert expr.coeffs == {0: 1.5, 1: -2.0}
-
-    def test_as_expr_coercions(self):
-        m = Model()
-        x = m.add_var("x")
-        assert as_expr(x).coeffs == {0: 1.0}
-        assert as_expr(4.0).constant == 4.0
-        with pytest.raises(TypeError):
-            as_expr("nope")
+from repro.lp import SolutionStatus, SolverError, solve
 
 
 class TestModelLP:
     def test_simple_minimisation(self):
-        m = Model("toy")
-        x = m.add_var("x", lower=0.0, upper=1.0)
-        y = m.add_var("y", lower=0.0)
-        m.add_constraint(x + 2.0 * y, ">=", 1.0)
-        m.set_objective(x + y, sense=ObjectiveSense.MINIMIZE)
-        sol = m.solve()
+        # min x + y  s.t.  x + 2y >= 1,  0 <= x <= 1,  y >= 0
+        sol = solve([1.0, 1.0], [[-1.0, -2.0]], [-1.0], lower=0.0, upper=[1.0, np.inf])
         assert sol.is_optimal
         assert sol.objective == pytest.approx(0.5, abs=1e-6)
 
     def test_maximisation(self):
-        m = Model()
-        x = m.add_var("x", lower=0.0, upper=2.0)
-        y = m.add_var("y", lower=0.0, upper=3.0)
-        m.add_constraint(x + y, "<=", 4.0)
-        m.set_objective(2 * x + y, sense=ObjectiveSense.MAXIMIZE)
-        sol = m.solve()
+        # Maximise 2x + y by minimising its negation.
+        sol = solve([-2.0, -1.0], [[1.0, 1.0]], [4.0], upper=[2.0, 3.0])
         assert sol.is_optimal
-        assert sol.objective == pytest.approx(6.0, abs=1e-6)
+        assert -sol.objective == pytest.approx(6.0, abs=1e-6)
 
     def test_equality_constraint(self):
-        m = Model()
-        x = m.add_var("x")
-        y = m.add_var("y")
-        m.add_constraint(x + y, "==", 2.0)
-        m.set_objective(x, sense=ObjectiveSense.MINIMIZE)
-        sol = m.solve()
+        sol = solve([1.0, 0.0], A_eq=sparse.csr_matrix([[1.0, 1.0]]), b_eq=[2.0])
         assert sol.is_optimal
-        assert sol.value(x) == pytest.approx(0.0, abs=1e-6)
-        assert sol.value(y) == pytest.approx(2.0, abs=1e-6)
+        assert sol.values[0] == pytest.approx(0.0, abs=1e-6)
+        assert sol.values[1] == pytest.approx(2.0, abs=1e-6)
 
     def test_infeasible(self):
-        m = Model()
-        x = m.add_var("x", lower=0.0, upper=1.0)
-        m.add_constraint(x, ">=", 2.0)
-        m.set_objective(x)
-        sol = m.solve()
+        sol = solve([1.0], [[-1.0]], [-2.0], upper=1.0)
         assert sol.status is SolutionStatus.INFEASIBLE
         assert not sol.is_optimal
+        assert not sol.has_solution
 
     def test_unbounded(self):
-        m = Model()
-        x = m.add_var("x", lower=0.0)
-        m.set_objective(x, sense=ObjectiveSense.MAXIMIZE)
-        sol = m.solve()
-        assert sol.status in (SolutionStatus.UNBOUNDED, SolutionStatus.ERROR,
-                              SolutionStatus.INFEASIBLE) or not sol.is_optimal
+        sol = solve([-1.0])
+        assert sol.status is SolutionStatus.UNBOUNDED
+        assert not sol.is_optimal
 
     def test_empty_model(self):
-        m = Model()
-        sol = m.solve()
+        sol = solve(np.zeros(0))
         assert sol.is_optimal
         assert sol.objective == 0.0
+        assert solve(np.zeros(0), integrality=np.zeros(0, dtype=int)).is_optimal
 
     def test_vertex_solution_is_basic(self):
         # A degenerate transportation-style LP: the vertex solution should
         # have at most (#rows) non-zero variables.
-        m = Model()
-        xs = m.add_vars(6, "x", lower=0.0, upper=1.0)
-        for group in (xs[0:3], xs[3:6]):
-            m.add_constraint(sum(v for v in group), "==", 1.0)
-        m.set_objective(sum((i + 1) * v for i, v in enumerate(xs)))
-        sol = m.solve(vertex=True)
+        a_eq = sparse.csr_matrix(np.kron(np.eye(2), np.ones(3)))
+        sol = solve(np.arange(1.0, 7.0), A_eq=a_eq, b_eq=np.ones(2), upper=1.0,
+                    vertex=True)
         assert sol.is_optimal
         support = np.sum(sol.values > 1e-9)
-        assert support <= m.num_constraints
-
-    def test_check_feasible_reports_violations(self):
-        m = Model()
-        x = m.add_var("x", lower=0.0, upper=1.0)
-        m.add_constraint(x, ">=", 0.5, name="half")
-        bad = np.array([0.0])
-        assert "half" in m.check_feasible(bad)
-        good = np.array([0.7])
-        assert m.check_feasible(good) == []
+        assert support <= a_eq.shape[0]
 
     def test_variable_bound_validation(self):
-        m = Model()
-        with pytest.raises(ValueError):
-            m.add_var("bad", lower=2.0, upper=1.0)
-
-    def test_expression_value_via_solution(self):
-        m = Model()
-        x = m.add_var("x", lower=1.0, upper=1.0)
-        m.set_objective(x)
-        sol = m.solve()
-        assert sol[x] == pytest.approx(1.0)
-        assert sol[2 * x + 1] == pytest.approx(3.0)
-        with pytest.raises(TypeError):
-            sol.value("bogus")
+        # Crossed column bounds reach the solver and make the program infeasible.
+        for integrality in (None, np.ones(1, dtype=int)):
+            sol = solve([1.0], lower=2.0, upper=1.0, integrality=integrality)
+            assert sol.status is SolutionStatus.INFEASIBLE
 
 
 class TestModelMIP:
     def test_integer_knapsack(self):
-        m = Model()
-        x = m.add_vars(3, "x", lower=0.0, upper=1.0, integral=True)
-        weights = [3.0, 4.0, 5.0]
-        values = [4.0, 5.0, 7.0]
-        m.add_constraint(sum(w * v for w, v in zip(weights, x)), "<=", 7.0)
-        m.set_objective(sum(c * v for c, v in zip(values, x)), sense=ObjectiveSense.MAXIMIZE)
-        sol = m.solve(as_mip=True)
+        # max 4a + 5b + 7c  s.t.  3a + 4b + 5c <= 7,  a, b, c in {0, 1}
+        sol = solve([-4.0, -5.0, -7.0], [[3.0, 4.0, 5.0]], [7.0], upper=1.0,
+                    integrality=np.ones(3, dtype=int))
         assert sol.is_optimal
-        assert sol.objective == pytest.approx(9.0)
-        assert all(abs(sol.value(v) - round(sol.value(v))) < 1e-6 for v in x)
+        assert sol.is_mip
+        assert -sol.objective == pytest.approx(9.0)
+        assert np.allclose(sol.values, np.round(sol.values), atol=1e-6)
 
     def test_mip_vs_lp_relaxation_gap(self):
-        m = Model()
-        x = m.add_vars(2, "x", lower=0.0, upper=1.0, integral=True)
-        m.add_constraint(x[0] + x[1], "<=", 1.5)
-        m.set_objective(x[0] + x[1], sense=ObjectiveSense.MAXIMIZE)
-        lp = m.solve()
-        mip = m.solve(as_mip=True)
-        assert lp.objective == pytest.approx(1.5)
-        assert mip.objective == pytest.approx(1.0)
+        arrays = ([-1.0, -1.0], [[1.0, 1.0]], [1.5], None, None, 0.0, 1.0)
+        lp = solve(*arrays)
+        mip = solve(*arrays, integrality=np.ones(2, dtype=int))
+        assert -lp.objective == pytest.approx(1.5)
+        assert -mip.objective == pytest.approx(1.0)
 
     def test_mip_infeasible(self):
-        m = Model()
-        x = m.add_var("x", lower=0.0, upper=1.0, integral=True)
-        m.add_constraint(2 * x, "==", 1.0)
-        m.set_objective(x)
-        sol = m.solve(as_mip=True)
+        sol = solve([1.0], A_eq=[[2.0]], b_eq=[1.0], upper=1.0,
+                    integrality=np.ones(1, dtype=int))
         assert sol.status is SolutionStatus.INFEASIBLE
+
+    def test_time_limit_without_incumbent_raises(self):
+        # A 0/1 equality knapsack with a planted solution is feasible, but no
+        # incumbent exists within a microsecond: that is no proof of
+        # infeasibility, so the solve must not report one.
+        rng = np.random.default_rng(0)
+        weights = rng.integers(1, 1000, size=(2, 80)).astype(float)
+        planted = rng.random(80) < 0.5
+        with pytest.raises(SolverError):
+            solve(np.zeros(80), A_eq=weights, b_eq=weights @ planted, upper=1.0,
+                  integrality=np.ones(80, dtype=int), time_limit=1e-6)

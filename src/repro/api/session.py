@@ -5,8 +5,11 @@ persistent store with a fitted cost model, a distributed queue and an
 autoscaling supervisor — and configuring them meant scattering kwargs
 over ``BatchRunner(...)`` calls and ``REPRO_*`` environment variables.
 :class:`SessionConfig` collapses that into one resolved object
-(**kwargs > environment > defaults**), and :class:`Session` executes
-declarative :class:`~repro.api.spec.ScenarioSpec` sweeps through it:
+(**kwargs > environment > defaults**) and is the only reader of the
+``REPRO_*`` variables: everything below it (the runner pool, the runner,
+the backends) takes resolved values as plain arguments.  :class:`Session`
+executes declarative :class:`~repro.api.spec.ScenarioSpec` sweeps
+through it:
 
 >>> from repro.api import Session, load_scenario
 >>> session = Session()                           # env/defaults
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
@@ -35,11 +38,6 @@ from repro.api.spec import CompiledScenario, ScenarioSpec, TaskInfo, _SIZE_KEYS
 from repro.runtime.runner import BatchRunner
 
 __all__ = ["SessionConfig", "Session", "ScenarioRun"]
-
-#: SessionConfig fields accepted as keyword overrides by ``resolve``.
-_CONFIG_FIELDS = ("store_path", "backend", "autoscale", "max_workers",
-                  "timeout_s", "cache", "chunk_size", "refit_every",
-                  "backend_options")
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ class SessionConfig:
     autoscale:
         Queue-backend worker fleet ceiling (``REPRO_AUTOSCALE``); ``0``
         disables autoscaling.  Only meaningful with ``backend="queue"``.
-    max_workers / timeout_s / cache / chunk_size / refit_every:
+    max_workers / timeout_s / cache / chunk_size:
         Forwarded to :class:`BatchRunner` construction.
     backend_options:
         Extra backend constructor kwargs (e.g. chaos/testing knobs such
@@ -72,7 +70,6 @@ class SessionConfig:
     timeout_s: Optional[float] = None
     cache: bool = True
     chunk_size: Optional[int] = None
-    refit_every: Optional[int] = 200
     backend_options: Dict[str, Any] = field(default_factory=dict)
 
     @classmethod
@@ -80,14 +77,16 @@ class SessionConfig:
         """Build a config with **kwargs > environment > defaults**.
 
         Recognised environment variables: ``REPRO_RESULT_STORE``,
-        ``REPRO_BACKEND``, ``REPRO_AUTOSCALE``.  Unknown keyword names
-        raise (a typo must not silently fall back to a default).
+        ``REPRO_BACKEND``, ``REPRO_AUTOSCALE`` (an integer).  Unknown
+        keyword names raise (a typo must not silently fall back to a
+        default).
         """
-        unknown = set(overrides) - set(_CONFIG_FIELDS)
+        known = {f.name for f in fields(cls)}
+        unknown = set(overrides) - known
         if unknown:
             raise TypeError(
                 f"unknown session option(s) {sorted(unknown)}; "
-                f"known: {sorted(_CONFIG_FIELDS)}")
+                f"known: {sorted(known)}")
         values: Dict[str, Any] = dict(overrides)
         if "store_path" not in values:
             values["store_path"] = os.environ.get("REPRO_RESULT_STORE") or None
@@ -97,26 +96,22 @@ class SessionConfig:
             values["backend"] = os.environ.get("REPRO_BACKEND") or None
         if "autoscale" not in values:
             raw = os.environ.get("REPRO_AUTOSCALE", "").strip()
-            values["autoscale"] = int(raw) if raw else 0
+            try:
+                values["autoscale"] = int(raw) if raw else 0
+            except ValueError:
+                raise ValueError(
+                    f"REPRO_AUTOSCALE must be an integer worker count, "
+                    f"got {raw!r}") from None
         return cls(**values)
 
     def runner_kwargs(self) -> Dict[str, Any]:
         """The :class:`BatchRunner` constructor kwargs this config implies
-        (defaults omitted, so pooled runners constructed elsewhere with
-        plain defaults compare equal in behaviour)."""
-        kwargs: Dict[str, Any] = {}
-        if self.max_workers is not None:
-            kwargs["max_workers"] = self.max_workers
-        if self.timeout_s is not None:
-            kwargs["timeout"] = self.timeout_s
-        if not self.cache:
-            kwargs["cache"] = False
-        if self.chunk_size is not None:
-            kwargs["chunk_size"] = self.chunk_size
-        if self.refit_every != 200:
-            kwargs["refit_every"] = self.refit_every
+        (store and backend aside)."""
+        kwargs: Dict[str, Any] = dict(
+            max_workers=self.max_workers, timeout=self.timeout_s,
+            cache=self.cache, chunk_size=self.chunk_size)
         options = dict(self.backend_options)
-        if self.autoscale and self.backend == "queue":
+        if self.backend == "queue":
             options.setdefault("autoscale", self.autoscale)
         if options:
             kwargs["backend_options"] = options
@@ -165,11 +160,9 @@ class Session:
         overrides win over the config; pass ``store=None`` explicitly to
         drop the session store, ``store=path`` to substitute one.
         """
-        kwargs = self.config.runner_kwargs()
-        if self.config.backend is not None:
-            kwargs["backend"] = self.config.backend
-        if self.config.store_path is not None:
-            kwargs["store"] = self.config.store_path
+        kwargs = dict(self.config.runner_kwargs(),
+                      backend=self.config.backend,
+                      store=self.config.store_path)
         kwargs.update(overrides)
         return BatchRunner(**kwargs)
 
@@ -196,7 +189,7 @@ class Session:
         if spec.budget.timeout_s is not None:
             overrides["timeout"] = spec.budget.timeout_s
         if self.config.backend == "queue":
-            options = dict(self.config.backend_options)
+            options = dict(self.config.runner_kwargs()["backend_options"])
             if spec.budget.budget_factor is not None:
                 options["budget_factor"] = spec.budget.budget_factor
             if spec.budget.min_budget_s is not None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import tomllib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
@@ -45,10 +46,6 @@ from repro.generators import (
 from repro.generators.suites import SUITES, SuiteSpec, iter_suite
 from repro.runtime.runner import BatchTask
 
-try:  # Python >= 3.11
-    import tomllib as _toml
-except ImportError:  # pragma: no cover - exercised on 3.9/3.10 only
-    from repro.api import _toml  # type: ignore[no-redef]
 
 __all__ = [
     "GENERATORS",
@@ -588,7 +585,7 @@ def load_scenario(source: Union[str, Path]) -> ScenarioSpec:
     path = Path(source)
     text = path.read_text()
     if path.suffix == ".toml":
-        data = _toml.loads(text)
+        data = tomllib.loads(text)
     elif path.suffix == ".json":
         data = json.loads(text)
     else:

@@ -33,7 +33,7 @@ This package turns the loose algorithm functions of
   spawn for *work*, not for rows), restart crashed workers behind an
   exponential backoff with a consecutive-crash cap, retire on idle, exit
   when the queue drains.  Submitters opt in with
-  ``QueueBackend(autoscale=N)`` / ``REPRO_AUTOSCALE=N``.
+  ``QueueBackend(autoscale=N)`` or ``Session(autoscale=N)``.
 * :mod:`repro.runtime.pool` — :func:`get_runner`, the canonical keyed
   runner pool (one runner per ``(store, backend)`` pair, shared
   ``ResultStore`` handles) that :class:`repro.api.Session` and the

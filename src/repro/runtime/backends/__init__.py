@@ -13,8 +13,8 @@ queue     distributed SQLite work queue shared with ``repro.runtime.worker``
 ========  ==================================================================
 
 Select one with ``BatchRunner(backend="pool")``, through
-``get_runner(backend=...)``, or fleet-wide with the ``REPRO_BACKEND``
-environment variable (read by :func:`repro.analysis.get_runner`).  The
+``Session(backend=...)``, or fleet-wide with the ``REPRO_BACKEND``
+environment variable (read by :class:`repro.api.SessionConfig`).  The
 default (``backend=None`` / ``"auto"``) preserves the historical
 behaviour: a process pool when more than one worker is usable, in-process
 execution otherwise.

@@ -122,8 +122,7 @@ class QueueBackend(ExecutionBackend):
         subprocess that watches the queue and manages a worker fleet of
         up to that many processes for the duration of the batch — one
         knob replaces starting workers by hand.  ``None`` (the default)
-        reads the ``REPRO_AUTOSCALE`` environment variable (an integer;
-        unset/empty/``0`` disables autoscaling).
+        or ``0`` disables autoscaling.
     budget_factor / min_budget_s:
         Policy for the per-task ``budget_s`` stamped on enqueued rows.
         With the runner's ``timeout`` set, that value is the budget for
@@ -159,7 +158,10 @@ class QueueBackend(ExecutionBackend):
         self.inline = bool(inline)
         self.stall_timeout_s = stall_timeout_s
         self.worker_id = worker_id or f"inline-{os.getpid()}"
-        self.autoscale = self._resolve_autoscale(autoscale)
+        if autoscale is True:
+            from repro.runtime.runner import usable_cpus
+            autoscale = usable_cpus()
+        self.autoscale = max(0, int(autoscale or 0))
         self.budget_factor = float(budget_factor)
         self.min_budget_s = float(min_budget_s)
         if spawn_horizon_s is not None and float(spawn_horizon_s) < 0:
@@ -169,23 +171,6 @@ class QueueBackend(ExecutionBackend):
             raise ValueError("spawn_horizon_s must be >= 0 (or None)")
         self.spawn_horizon_s = (float(spawn_horizon_s)
                                 if spawn_horizon_s else None)
-
-    @staticmethod
-    def _resolve_autoscale(autoscale: Union[None, bool, int]) -> int:
-        if autoscale is None:
-            raw = os.environ.get("REPRO_AUTOSCALE", "").strip()
-            if not raw:
-                return 0
-            try:
-                autoscale = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_AUTOSCALE must be an integer worker count, "
-                    f"got {raw!r}") from None
-        if autoscale is True:
-            from repro.runtime.runner import usable_cpus
-            return usable_cpus()
-        return max(0, int(autoscale))
 
     def _policy_for(self, task: "BatchTask"
                     ) -> Tuple[Optional[float], Optional[float]]:

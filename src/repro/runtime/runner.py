@@ -262,10 +262,6 @@ class BatchRunner:
         Tasks per pool submission; ``None`` picks ``ceil(len/4·workers)``
         capped at 16.  Not used when ``timeout`` is set (wave dispatch is
         per-task).
-    mp_context:
-        ``multiprocessing`` context; defaults to ``"fork"`` where available
-        so registry state (including dynamically registered algorithms)
-        reaches the workers.
     backend:
         Where cold tasks execute: a name from
         :data:`repro.runtime.backends.BACKENDS` (``"serial"``, ``"pool"``,
@@ -296,7 +292,6 @@ class BatchRunner:
         store: Union[None, str, Path, ResultStore] = None,
         cost_model: Union[None, str, CostModel] = "auto",
         chunk_size: Optional[int] = None,
-        mp_context: Optional[multiprocessing.context.BaseContext] = None,
         backend: Union[None, str, ExecutionBackend] = None,
         backend_options: Optional[Dict[str, object]] = None,
         refit_every: Optional[int] = 200,
@@ -316,13 +311,15 @@ class BatchRunner:
         self.store: Optional[ResultStore] = store
         self._cost_model: Union[None, str, CostModel] = cost_model
         #: Whether the cost model is runner-managed ("auto") as opposed to
-        #: caller-provided/disabled; attach_store may only re-arm the former.
+        #: caller-provided/disabled; only the former is auto-refitted.
         self._cost_model_auto = isinstance(cost_model, str)
         self.refit_every = refit_every
         self._next_refit_at = self._refit_threshold()
-        if mp_context is None and "fork" in multiprocessing.get_all_start_methods():
-            mp_context = multiprocessing.get_context("fork")
-        self._mp_context = mp_context
+        # Fork where available so registry state (including dynamically
+        # registered algorithms) reaches pool workers.
+        self._mp_context = (multiprocessing.get_context("fork")
+                            if "fork" in multiprocessing.get_all_start_methods()
+                            else None)
         self._cache: Dict[str, AlgorithmResult] = {}
         self.stats: Dict[str, int] = {"tasks": 0, "cache_hits": 0,
                                       "store_hits": 0, "store_puts": 0,
@@ -473,7 +470,7 @@ class BatchRunner:
         """Re-arm the ``"auto"`` cost model every ``refit_every`` store puts.
 
         The counter watched is the attached store handle's ``puts`` — with
-        :func:`repro.analysis.get_runner` sharing one :class:`ResultStore`
+        :func:`repro.runtime.pool.get_runner` sharing one :class:`ResultStore`
         across runners, every tenant's writes advance the same counter, so
         any of them crossing the threshold refreshes this runner's
         predictions.  Re-arming is lazy (the actual fit happens on the next
@@ -486,23 +483,6 @@ class BatchRunner:
         if self.store.stats_counters["puts"] >= self._next_refit_at:
             self._cost_model = "auto"
             self._next_refit_at = self._refit_threshold()
-
-    def attach_store(self, store: Union[str, Path, ResultStore]) -> None:
-        """Attach a persistent store to a runner created without one.
-
-        No-op when a store is already attached (the first store wins; a
-        singleton runner must not silently switch files mid-flight).  An
-        ``"auto"`` cost model that already resolved to ``None`` for lack of
-        a store is re-armed, so the newly attached records can feed it.
-        """
-        if self.store is not None:
-            return
-        if isinstance(store, (str, Path)):
-            store = ResultStore(store)
-        self.store = store
-        if self._cost_model_auto:
-            self._cost_model = "auto"
-        self._next_refit_at = self._refit_threshold()
 
     def _order_by_cost(self, tasks: Sequence[BatchTask],
                        pending: List[int]) -> List[int]:

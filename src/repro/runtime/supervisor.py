@@ -32,8 +32,8 @@ regardless — the supervisor only restores fleet capacity.
 
 Submitters normally do not run this by hand:
 ``BatchRunner(backend="queue", backend_options={"autoscale": N})`` — or
-``REPRO_AUTOSCALE=N`` fleet-wide — spawns a supervisor around every
-batch (see :func:`spawn_supervisor`).
+``Session(backend="queue", autoscale=N)`` / ``REPRO_AUTOSCALE=N`` —
+spawns a supervisor around every batch (see :func:`spawn_supervisor`).
 """
 
 from __future__ import annotations
@@ -236,8 +236,6 @@ class Supervisor:
         ``repro.testing.chaos``).
     worker_args:
         Extra CLI args appended to every worker command line.
-    worker_env:
-        Extra environment variables for workers (e.g. ``REPRO_CHAOS_*``).
     worker_idle_exit / worker_poll_s:
         Forwarded to workers; ``worker_idle_exit`` should exceed
         ``idle_grace_s`` so the supervisor, not the worker, decides
@@ -260,7 +258,6 @@ class Supervisor:
                  spawn_horizon_s: Optional[float] = None,
                  worker_module: str = "repro.runtime.worker",
                  worker_args: Sequence[str] = (),
-                 worker_env: Optional[Dict[str, str]] = None,
                  worker_idle_exit: float = 10.0,
                  worker_poll_s: float = 0.05,
                  sleep: Callable[[float], None] = time.sleep) -> None:
@@ -279,7 +276,6 @@ class Supervisor:
         self.poll_s = float(poll_s)
         self.worker_module = worker_module
         self.worker_args = list(worker_args)
-        self.worker_env = dict(worker_env or {})
         self.worker_idle_exit = float(worker_idle_exit)
         self.worker_poll_s = float(worker_poll_s)
         self._sleep = sleep
@@ -402,11 +398,10 @@ class Supervisor:
                "--poll-s", str(self.worker_poll_s),
                "--idle-exit", str(self.worker_idle_exit),
                *self.worker_args]
-        env = child_env()
-        env.update(self.worker_env)
         # Workers print a one-line drain summary on exit; that belongs to
         # them, not to the supervisor's (or the F5 table's) stdout.
-        return subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
+        return subprocess.Popen(cmd, env=child_env(),
+                                stdout=subprocess.DEVNULL)
 
 
 def child_env() -> Dict[str, str]:
@@ -434,7 +429,7 @@ def spawn_supervisor(store_path: Union[str, Path], *, max_workers: int,
     """Start ``python -m repro.runtime.supervisor`` as a subprocess.
 
     The submitter-facing entry point behind
-    ``QueueBackend(autoscale=N)`` / ``REPRO_AUTOSCALE``: the supervisor
+    ``QueueBackend(autoscale=N)``: the supervisor
     exits on its own once the queue drains; callers terminate it early
     only to abandon a batch (SIGTERM is handled — workers are reaped
     before it dies).

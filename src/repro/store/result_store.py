@@ -237,9 +237,10 @@ class ResultStore:
                 " environment, num_jobs, num_machines, num_classes, wall_seconds,"
                 " payload, payload_bytes, created_at, last_access)"
                 " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (key, _REPRO_VERSION, task.algorithm, inst.environment.value,
-                 inst.num_jobs, inst.num_machines, inst.num_classes,
-                 float(result.runtime_seconds), payload, len(payload), now, now))
+                (key, _REPRO_VERSION, task.algorithm,
+                 inst.environment.value, inst.num_jobs, inst.num_machines,
+                 inst.num_classes, float(result.runtime_seconds), payload,
+                 len(payload), now, now))
         self.stats_counters["puts"] += 1
         self.evict(now=now)
 

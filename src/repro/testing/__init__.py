@@ -16,9 +16,9 @@ that control plane:
   ``repro.runtime.worker`` CLI (``python -m repro.testing.chaos``) whose
   :class:`~repro.testing.chaos.ChaosPlan` injects crashes (between tasks
   or mid-lease), stalls, slow-downs, and lease refusals on a
-  deterministic schedule, driven by CLI flags or ``REPRO_CHAOS_*``
-  environment variables.  The supervisor's fault-recovery story (F5, the
-  soak test) runs real fleets of these.
+  deterministic schedule, driven by CLI flags (a supervisor arms its
+  fleet through ``worker_args``).  The supervisor's fault-recovery story
+  (F5, the soak test) runs real fleets of these.
 
 Nothing in here is imported by the production modules — the harness
 depends on the runtime, never the reverse.  :mod:`repro.testing.chaos`

@@ -39,10 +39,8 @@ Fault repertoire
     the fleet but initially contributes nothing (supervisor scaling must
     not count on instant uptake).
 
-Flags override the corresponding ``REPRO_CHAOS_*`` environment variables
-(see :meth:`ChaosPlan.from_env`), which is how a supervisor-spawned fleet
-is armed: the supervisor passes only the standard worker flags, the
-chaos schedule rides in the environment.
+The schedule comes from the flags alone; a supervisor-spawned fleet is
+armed through ``Supervisor(worker_args=[...])``.
 """
 
 from __future__ import annotations
@@ -51,8 +49,8 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional
+from dataclasses import dataclass, fields
+from typing import Callable, List, Optional
 
 from repro.runtime.backends.queue import _WORKER_STATS_KEYS, process_lease
 from repro.store import ResultStore, TaskQueue
@@ -70,48 +68,6 @@ class ChaosPlan:
     stall_s: float = 0.0
     slow_s: float = 0.0
     refuse_leases: int = 0
-
-    @classmethod
-    def from_env(cls, env: Optional[Mapping[str, str]] = None) -> "ChaosPlan":
-        """Read the fault schedule from ``REPRO_CHAOS_*`` variables.
-
-        ``REPRO_CHAOS_CRASH_AFTER`` (int), ``REPRO_CHAOS_MID_TASK``
-        (truthy: ``1``/``true``/``yes``), ``REPRO_CHAOS_EXIT_CODE``
-        (int, default 9), ``REPRO_CHAOS_STALL_S`` / ``REPRO_CHAOS_SLOW_S``
-        (float seconds), ``REPRO_CHAOS_REFUSE_LEASES`` (int).  Unset
-        variables leave the healthy default in place.
-        """
-        env = os.environ if env is None else env
-
-        def _get(name: str, cast, default):
-            raw = env.get(name, "").strip()
-            return cast(raw) if raw else default
-
-        return cls(
-            crash_after=_get("REPRO_CHAOS_CRASH_AFTER", int, None),
-            crash_mid_task=_get("REPRO_CHAOS_MID_TASK",
-                                lambda s: s.lower() in ("1", "true", "yes"),
-                                False),
-            crash_exit_code=_get("REPRO_CHAOS_EXIT_CODE", int, 9),
-            stall_s=_get("REPRO_CHAOS_STALL_S", float, 0.0),
-            slow_s=_get("REPRO_CHAOS_SLOW_S", float, 0.0),
-            refuse_leases=_get("REPRO_CHAOS_REFUSE_LEASES", int, 0),
-        )
-
-    def merged_with_args(self, args: argparse.Namespace) -> "ChaosPlan":
-        """Overlay CLI flags (which win) on this (env-derived) plan."""
-        return ChaosPlan(
-            crash_after=(args.crash_after if args.crash_after is not None
-                         else self.crash_after),
-            crash_mid_task=bool(args.crash_mid_task or self.crash_mid_task),
-            crash_exit_code=(args.crash_exit_code
-                             if args.crash_exit_code is not None
-                             else self.crash_exit_code),
-            stall_s=args.stall_s if args.stall_s is not None else self.stall_s,
-            slow_s=args.slow_s if args.slow_s is not None else self.slow_s,
-            refuse_leases=(args.refuse_leases if args.refuse_leases is not None
-                           else self.refuse_leases),
-        )
 
 
 def chaos_drain(store: ResultStore, queue: TaskQueue, worker_id: str,
@@ -192,25 +148,29 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="exit after this long with nothing claimable")
     parser.add_argument("--max-tasks", type=int, default=None,
                         help="exit after processing this many leases")
-    parser.add_argument("--crash-after", type=int, default=None,
+    plan = ChaosPlan()
+    parser.add_argument("--crash-after", type=int, default=plan.crash_after,
                         help="os._exit after completing N leases")
     parser.add_argument("--crash-mid-task", action="store_true",
                         help="crash holding the (N+1)-th lease instead of "
                              "between tasks")
-    parser.add_argument("--crash-exit-code", type=int, default=None,
+    parser.add_argument("--crash-exit-code", type=int,
+                        default=plan.crash_exit_code,
                         help="exit code of the injected crash (default: 9)")
-    parser.add_argument("--stall-s", type=float, default=None,
+    parser.add_argument("--stall-s", type=float, default=plan.stall_s,
                         help="hold the first lease this long before computing")
-    parser.add_argument("--slow-s", type=float, default=None,
+    parser.add_argument("--slow-s", type=float, default=plan.slow_s,
                         help="sleep this long before every compute")
-    parser.add_argument("--refuse-leases", type=int, default=None,
+    parser.add_argument("--refuse-leases", type=int,
+                        default=plan.refuse_leases,
                         help="idle through the first N polls without leasing")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    plan = ChaosPlan.from_env().merged_with_args(args)
+    plan = ChaosPlan(**{f.name: getattr(args, f.name)
+                        for f in fields(ChaosPlan)})
     worker_id = args.worker_id or f"chaos-{os.getpid()}"
     store = ResultStore(args.store)
     queue = TaskQueue(args.store, lease_s=args.lease_s)

@@ -140,6 +140,47 @@ class TestExperimentRegistry:
         with pytest.raises(KeyError):
             run_experiment("E42")
 
+    @pytest.mark.parametrize("via", ["argument", "environment"])
+    def test_store_path_persists_and_serves_a_rerun(self, tmp_path,
+                                                     monkeypatch, via):
+        """``run_experiment(id, store_path=p)`` (the benchmark harness's
+        path) or ``REPRO_RESULT_STORE=p``: the first call fills ``p``, and
+        a rerun on a fresh runner pool — as in a new process — is served
+        from it."""
+        from repro.analysis import experiments
+        from repro.analysis.ratios import ReferenceBound
+        from repro.core.bounds import lower_bound
+        from repro.runtime import pool
+        from repro.store import ResultStore
+
+        # Only algorithm results travel through the store; a cheap
+        # reference keeps the test off the MILP.
+        monkeypatch.setattr(
+            experiments, "reference_makespan",
+            lambda inst, **_kw: ReferenceBound(value=lower_bound(inst),
+                                               kind="combinatorial"))
+        monkeypatch.setattr(pool, "_RUNNERS", {})
+        monkeypatch.setattr(pool, "_SHARED_STORES", {})
+        for var in ("REPRO_RESULT_STORE", "REPRO_BACKEND", "REPRO_AUTOSCALE"):
+            monkeypatch.delenv(var, raising=False)
+        path = tmp_path / "results.sqlite"
+        if via == "environment":
+            monkeypatch.setenv("REPRO_RESULT_STORE", str(path))
+        store_path = path if via == "argument" else None
+        try:
+            first = run_experiment("E5", store_path=store_path)
+            with ResultStore(path) as store:
+                assert len(store) > 0
+            pool.reset_runner_pool()
+            second = run_experiment("E5", store_path=store_path)
+            runner = pool.get_runner(path)
+            assert runner.stats["tasks"] > 0
+            assert runner.stats["store_hits"] == runner.stats["tasks"]
+            assert runner.stats["store_puts"] == 0
+            assert second.render() == first.render()
+        finally:
+            pool.reset_runner_pool()
+
     def test_f1_runs_and_reports_groups(self):
         table = run_experiment("F1")
         assert len(table.rows) >= 1

@@ -28,7 +28,6 @@ SMALLEST_SCENARIO = REPO_ROOT / "scenarios" / "uniform_baselines.toml"
 def isolated_runner_pool(monkeypatch):
     monkeypatch.setattr(pool, "_RUNNERS", {})
     monkeypatch.setattr(pool, "_SHARED_STORES", {})
-    monkeypatch.setattr(pool, "_DEFAULT_RUNNER", None)
     for var in ("REPRO_RESULT_STORE", "REPRO_BACKEND", "REPRO_AUTOSCALE"):
         monkeypatch.delenv(var, raising=False)
     yield
@@ -95,6 +94,13 @@ class TestRunCommand:
                    "--autoscale", "4"])
         assert rc == 2
         assert "--backend queue" in capsys.readouterr().err
+
+    def test_autoscale_check_sees_the_resolved_backend(self, capsys,
+                                                      monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
+        rc = main(["run", str(SMALLEST_SCENARIO), "--autoscale", "4"])
+        assert rc == 2
+        assert "resolved backend: serial" in capsys.readouterr().err
 
 
 class TestModuleEntryPoint:

@@ -2,7 +2,9 @@
 
 What the facade promises:
 
-* ``SessionConfig.resolve`` layers **kwargs > environment > defaults**;
+* ``SessionConfig.resolve`` layers **kwargs > environment > defaults**,
+  and is the only reader of ``REPRO_*``: the resolved values reach every
+  runner the session builds;
 * ``Session.runner()`` resolves through the canonical keyed pool (two
   equally-configured sessions share one runner);
 * ``run`` / ``stream`` / ``portfolio`` execute compiled scenarios with
@@ -31,7 +33,6 @@ from repro.runtime import SerialBackend, pool
 def isolated_runner_pool(monkeypatch):
     monkeypatch.setattr(pool, "_RUNNERS", {})
     monkeypatch.setattr(pool, "_SHARED_STORES", {})
-    monkeypatch.setattr(pool, "_DEFAULT_RUNNER", None)
     for var in ("REPRO_RESULT_STORE", "REPRO_BACKEND", "REPRO_AUTOSCALE"):
         monkeypatch.delenv(var, raising=False)
     yield
@@ -75,6 +76,12 @@ class TestSessionConfig:
         assert config.backend == "serial"
         assert config.autoscale == 0
 
+    def test_non_integer_autoscale_env_names_the_variable(self,
+                                                          monkeypatch):
+        monkeypatch.setenv("REPRO_AUTOSCALE", "lots")
+        with pytest.raises(ValueError, match="REPRO_AUTOSCALE"):
+            SessionConfig.resolve()
+
     def test_unknown_option_rejected(self):
         with pytest.raises(TypeError, match="bakend"):
             SessionConfig.resolve(bakend="serial")
@@ -93,6 +100,45 @@ class TestSessionConfig:
         # ...but never leaks into non-queue backends.
         serial = SessionConfig.resolve(backend="serial", autoscale=2)
         assert "backend_options" not in serial.runner_kwargs()
+
+
+class TestConfigReachesTheRunner:
+    """``SessionConfig`` is the only reader of ``REPRO_*``: what it
+    resolved is what every runner of the session is built with."""
+
+    def test_explicit_autoscale_zero_beats_environment(self, monkeypatch,
+                                                       tmp_path):
+        monkeypatch.setenv("REPRO_AUTOSCALE", "3")
+        session = Session(store_path=str(tmp_path / "q.sqlite"),
+                          backend="queue", autoscale=0)
+        assert session.config.autoscale == 0
+        assert session.runner().backend.autoscale == 0
+        assert session.build_runner().backend.autoscale == 0
+
+    def test_explicit_no_store_beats_environment(self, monkeypatch,
+                                                 tmp_path):
+        monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "env.sqlite"))
+        session = Session(store_path=None)
+        assert session.runner().store is None
+        assert session.build_runner().store is None
+
+    def test_default_session_runner_honours_environment(self, monkeypatch,
+                                                        tmp_path):
+        path = tmp_path / "env.sqlite"
+        monkeypatch.setenv("REPRO_RESULT_STORE", str(path))
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
+        runner = Session().runner()
+        assert isinstance(runner.backend, SerialBackend)
+        assert str(runner.store.path) == str(path)
+        assert Session(store_path=path, backend="serial").runner() is runner
+
+    def test_budget_spec_runner_keeps_the_session_autoscale(self, tmp_path):
+        session = Session(store_path=str(tmp_path / "q.sqlite"),
+                          backend="queue", autoscale=2)
+        spec = _spec(budget=BudgetPolicy(timeout_s=30.0, budget_factor=4.0))
+        dedicated = session._runner_for(spec)
+        assert dedicated.backend.autoscale == 2
+        assert dedicated.backend.budget_factor == 4.0
 
 
 class TestRunnerWiring:

@@ -7,9 +7,7 @@ The contracts the satellite checklist pins:
   through both ``save``/``load_scenario`` and ``to_dict``/``from_dict``);
 * unknown keys anywhere in a spec file fail loudly;
 * two compiles of one spec produce identical ``cache_key()`` task lists;
-* the shipped ``scenarios/*.toml`` files all load, and the bundled
-  fallback TOML parser agrees byte-for-byte with stdlib ``tomllib``
-  on every one of them (the 3.9/3.10 path must not drift).
+* the shipped ``scenarios/*.toml`` files all load and compile.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from repro.api import (
     load_scenario,
     scenario_from_dict,
 )
-from repro.api import _toml
 
 SCENARIO_DIR = pathlib.Path(__file__).parent.parent / "scenarios"
 
@@ -240,44 +237,3 @@ class TestShippedScenarios:
             spec = load_scenario(path)
             compiled = spec.compile("quick")
             assert len(compiled.tasks) > 0, path.name
-
-    def test_fallback_toml_parser_matches_tomllib(self):
-        tomllib = pytest.importorskip("tomllib")
-        for path in sorted(SCENARIO_DIR.glob("*.toml")):
-            text = path.read_text()
-            assert _toml.loads(text) == tomllib.loads(text), path.name
-
-    def test_fallback_parser_handles_core_toml(self):
-        parsed = _toml.loads("""
-        # comment
-        [table]
-        s = "a \\"quoted\\" string"   # trailing comment
-        lit = 'C:\\path'
-        i = 42
-        f = -0.5
-        t = true
-        arr = [1, 2,
-               3]
-        inline = {a = 1, b = "x"}
-        [table.sub]
-        k = "v"
-        [[items]]
-        n = 1
-        [[items]]
-        n = 2
-        """)
-        assert parsed["table"]["s"] == 'a "quoted" string'
-        assert parsed["table"]["lit"] == "C:\\path"
-        assert parsed["table"]["i"] == 42
-        assert parsed["table"]["f"] == -0.5
-        assert parsed["table"]["t"] is True
-        assert parsed["table"]["arr"] == [1, 2, 3]
-        assert parsed["table"]["inline"] == {"a": 1, "b": "x"}
-        assert parsed["table"]["sub"] == {"k": "v"}
-        assert [item["n"] for item in parsed["items"]] == [1, 2]
-
-    def test_fallback_parser_rejects_unsupported_toml(self):
-        with pytest.raises(_toml.TOMLDecodeError):
-            _toml.loads('s = """multi\nline"""')
-        with pytest.raises(_toml.TOMLDecodeError):
-            _toml.loads("a = 1\na = 2")

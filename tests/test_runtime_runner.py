@@ -392,25 +392,6 @@ class TestStreaming:
         elapsed = time.perf_counter() - t0
         assert elapsed < 3.0, f"early break blocked for {elapsed:.1f}s"
 
-    def test_attach_store_rearms_auto_cost_model(self, tmp_path):
-        store_path = tmp_path / "attach.sqlite"
-        seed_task = BatchTask.make(
-            "class-aware-greedy",
-            uniform_instance(15, 3, 3, seed=1, integral=True))
-        from repro.algorithms.base import AlgorithmResult as _AR
-        from repro.core.bounds import greedy_upper_bound as _gub
-        from repro.store import ResultStore
-        _, schedule = _gub(seed_task.instance)
-        with ResultStore(store_path) as store:
-            store.put(seed_task, _AR.from_schedule("class-aware-greedy", schedule,
-                                                   runtime=0.2))
-        runner = BatchRunner(max_workers=1)
-        assert runner.cost_model() is None  # auto resolves to None: no store
-        runner.attach_store(store_path)
-        model = runner.cost_model()  # re-armed by the attach
-        assert model is not None
-        assert model.known_algorithms() == ["class-aware-greedy"]
-
     def test_failed_results_never_reach_the_store(self, tmp_path,
                                                   failing_algorithm):
         store_path = tmp_path / "nofail.sqlite"

@@ -306,15 +306,14 @@ class TestSubmitterBudgets:
 
     def test_autoscale_resolution(self, tmp_path, monkeypatch):
         runner = BatchRunner(max_workers=1, backend="serial")
-        monkeypatch.delenv("REPRO_AUTOSCALE", raising=False)
         assert QueueBackend(runner).autoscale == 0
+        assert QueueBackend(runner, autoscale=0).autoscale == 0
         assert QueueBackend(runner, autoscale=3).autoscale == 3
         assert QueueBackend(runner, autoscale=True).autoscale >= 1
+        # The backend takes autoscale as given; REPRO_AUTOSCALE is
+        # SessionConfig's to read.
         monkeypatch.setenv("REPRO_AUTOSCALE", "2")
-        assert QueueBackend(runner).autoscale == 2
-        monkeypatch.setenv("REPRO_AUTOSCALE", "lots")
-        with pytest.raises(ValueError):
-            QueueBackend(runner)
+        assert QueueBackend(runner).autoscale == 0
 
 
 class TestSupervisorSmoke:

@@ -452,6 +452,18 @@ class TestCrossProcess:
             takeover = queue.lease("healthy-worker", now=expired)
             assert takeover is not None and takeover.key == key
 
+    def test_chaos_flag_defaults_are_the_healthy_plan(self):
+        """The chaos plan comes from the flags alone: one flag per
+        ``ChaosPlan`` field, defaulting to the healthy plan."""
+        from dataclasses import fields
+
+        from repro.testing.chaos import ChaosPlan, _build_parser
+
+        args = _build_parser().parse_args(["--store", "unused.sqlite"])
+        plan = ChaosPlan(**{f.name: getattr(args, f.name)
+                            for f in fields(ChaosPlan)})
+        assert plan == ChaosPlan()
+
     def test_chaos_crash_between_tasks_holds_no_lease(self, tmp_path):
         """``--crash-after N`` without ``--crash-mid-task`` dies *between*
         leases: completed work stays done, nothing is left leased — the

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (FIRST_COMPLETED, Future,
+                                ProcessPoolExecutor, wait)
+from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 import time
@@ -32,6 +34,19 @@ def terminate_workers(pool: ProcessPoolExecutor) -> None:
             process.terminate()
         except Exception:
             pass
+
+
+def _submit_or_fail(pool: ProcessPoolExecutor, fn, *args) -> Future:
+    """``pool.submit``, but a pool already broken by a dead worker yields
+    a failed future instead of raising, so a task submitted after a
+    sibling's worker died is counted a casualty like the in-flight ones.
+    """
+    try:
+        return pool.submit(fn, *args)
+    except BrokenProcessPool as exc:
+        failed: Future = Future()
+        failed.set_exception(exc)
+        return failed
 
 
 class PoolBackend(ExecutionBackend):
@@ -89,7 +104,8 @@ class PoolBackend(ExecutionBackend):
             for indices in chunk_indices:
                 payload = [(tasks[i].algorithm, tasks[i].instance,
                             tasks[i].kwargs_dict()) for i in indices]
-                future_to_indices[pool.submit(run_chunk, payload)] = indices
+                future_to_indices[_submit_or_fail(pool, run_chunk,
+                                                 payload)] = indices
             waiting = set(future_to_indices)
             while waiting:
                 done, waiting = wait(waiting, return_when=FIRST_COMPLETED)
@@ -148,9 +164,9 @@ class PoolBackend(ExecutionBackend):
                                   min(cursor + runner.max_workers, len(tasks))))
                 cursor = wave[-1] + 1
                 future_to_index = {
-                    pool.submit(run_one, tasks[idx].algorithm,
-                                tasks[idx].instance,
-                                tasks[idx].kwargs_dict()): idx
+                    _submit_or_fail(pool, run_one, tasks[idx].algorithm,
+                                   tasks[idx].instance,
+                                   tasks[idx].kwargs_dict()): idx
                     for idx in wave
                 }
                 deadline = time.monotonic() + runner.timeout
@@ -236,7 +252,8 @@ class PoolBackend(ExecutionBackend):
         results: List["AlgorithmResult"] = []
         with ProcessPoolExecutor(max_workers=runner.max_workers,
                                  mp_context=runner._mp_context) as pool:
-            futures = [pool.submit(run_chunk, payload) for payload in payloads]
+            futures = [_submit_or_fail(pool, run_chunk, payload)
+                       for payload in payloads]
             for future, payload in zip(futures, payloads):  # submission order
                 try:
                     outcomes = future.result()

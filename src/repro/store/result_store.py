@@ -95,6 +95,41 @@ class StoreRecord:
     last_access: float
 
 
+#: Seconds a connection waits on another process's (or thread's) lock.
+BUSY_TIMEOUT_S = 30.0
+
+
+def is_busy(exc: sqlite3.Error) -> bool:
+    """Whether ``exc`` is lock contention rather than a broken file."""
+    code = getattr(exc, "sqlite_errorcode", None)
+    return code is not None and code & 0xFF in (sqlite3.SQLITE_BUSY,
+                                                sqlite3.SQLITE_LOCKED)
+
+
+def connect_wal(path: Union[str, Path]) -> sqlite3.Connection:
+    """Open ``path`` in WAL mode, waiting out concurrent openers.
+
+    SQLite answers ``PRAGMA journal_mode=WAL`` with "database is locked"
+    at once, without calling the busy handler, while another connection
+    is switching the same fresh file to WAL.  Two connections opening a new
+    store together (a submitter and a worker) hit that race, so the
+    switch is retried for up to :data:`BUSY_TIMEOUT_S`.
+    """
+    conn = sqlite3.connect(str(path), timeout=BUSY_TIMEOUT_S)
+    deadline = time.monotonic() + BUSY_TIMEOUT_S
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            break
+        except sqlite3.OperationalError as exc:
+            if not is_busy(exc) or time.monotonic() > deadline:
+                conn.close()
+                raise
+            time.sleep(0.01)
+    conn.execute("PRAGMA synchronous=NORMAL")
+    return conn
+
+
 class ResultStore:
     """Content-addressed, on-disk result store (single SQLite file, WAL).
 
@@ -133,10 +168,7 @@ class ResultStore:
     # connection lifecycle
     # ------------------------------------------------------------------
     def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(str(self.path), timeout=30.0)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        return conn
+        return connect_wal(self.path)
 
     def _open_or_rebuild(self) -> sqlite3.Connection:
         """Open the store, rebuilding it empty when unreadable or outdated.
@@ -152,8 +184,11 @@ class ResultStore:
             row = conn.execute(
                 "SELECT value FROM store_meta WHERE key = 'schema_version'").fetchone()
             if row is None:
+                # OR IGNORE: a concurrent opener of the same fresh file
+                # may have stamped it between the SELECT and here.
                 conn.execute(
-                    "INSERT INTO store_meta (key, value) VALUES ('schema_version', ?)",
+                    "INSERT OR IGNORE INTO store_meta (key, value)"
+                    " VALUES ('schema_version', ?)",
                     (str(SCHEMA_VERSION),))
                 conn.commit()
                 return conn
@@ -165,7 +200,13 @@ class ResultStore:
                 self._purge_other_versions(conn)
                 return conn
             conn.close()
-        except (sqlite3.Error, ValueError):
+        except (sqlite3.Error, ValueError) as exc:
+            # A lock held past the busy timeout is contention, not damage:
+            # rebuilding would unlink a file other connections are using.
+            if isinstance(exc, sqlite3.Error) and is_busy(exc):
+                if conn is not None:
+                    conn.close()
+                raise
             # Close before unlinking: a still-open handle would leak (and on
             # Windows block the unlink, making the rebuild re-open the same
             # corrupt file and fail the constructor).

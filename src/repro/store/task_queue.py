@@ -71,6 +71,8 @@ from pathlib import Path
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     Tuple, Union)
 
+from repro.store.result_store import connect_wal
+
 if TYPE_CHECKING:  # imported lazily at runtime to keep the package cheap
     from repro.runtime.runner import BatchTask
 
@@ -87,8 +89,8 @@ QUEUE_SCHEMA_VERSION = 3
 #: SELECTs are chunked below this (matches result_store._MAX_SQL_PARAMS).
 _MAX_SQL_PARAMS = 500
 
-#: Kept as individual statements so the migration can replay them inside
-#: one explicit transaction (``executescript`` would issue an implicit
+#: Kept as individual statements so creation and migration can run them
+#: inside one explicit transaction (``executescript`` would issue an implicit
 #: COMMIT and make a mid-migration crash lose the salvaged rows).
 _SCHEMA_STATEMENTS = (
     """CREATE TABLE IF NOT EXISTS task_queue (
@@ -113,8 +115,6 @@ _SCHEMA_STATEMENTS = (
     value TEXT NOT NULL
 )""",
 )
-
-_SCHEMA = ";\n".join(_SCHEMA_STATEMENTS) + ";"
 
 #: The column set the current schema version expects; any drift (missing
 #: ``budget_s`` on a pre-v2 file, columns from some future layout) routes
@@ -191,9 +191,7 @@ class TaskQueue:
         #: Whether opening this file migrated (rebuilt) an outdated queue.
         self.migrated = False
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._conn = sqlite3.connect(str(self.path), timeout=30.0)
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn = connect_wal(self.path)
         self._ensure_schema()
 
     # ------------------------------------------------------------------
@@ -209,9 +207,18 @@ class TaskQueue:
         columns = {row[1] for row in
                    self._conn.execute("PRAGMA table_info(task_queue)")}
         if not columns:
-            self._conn.executescript(_SCHEMA)
-            self._stamp_version()
-            self._conn.commit()
+            # One transaction: a concurrent opener sees either no queue or
+            # a complete, stamped one — never tables without the version
+            # stamp, which it would take for an old layout and migrate.
+            self._conn.execute("BEGIN IMMEDIATE")
+            try:
+                for statement in _SCHEMA_STATEMENTS:
+                    self._conn.execute(statement)
+                self._stamp_version()
+                self._conn.execute("COMMIT")
+            except BaseException:
+                self._conn.execute("ROLLBACK")
+                raise
             return
         if columns == _EXPECTED_COLUMNS and self._stored_version() == QUEUE_SCHEMA_VERSION:
             return

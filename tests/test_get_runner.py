@@ -3,13 +3,16 @@
 `get_runner` is a plain cache keyed by ``(store file, backend)``, so an
 embedded server can run independent sweeps per tenant.  It reads no
 environment variables: the ``REPRO_*`` layer is
-:class:`repro.api.SessionConfig`'s (tested in ``test_api_session.py``).
+:class:`repro.api.SessionConfig`'s, so the tests below that set those
+variables reach the pool through a :class:`repro.api.Session` (more in
+``test_api_session.py``).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import Session
 from repro.generators import uniform_instance
 from repro.runtime import BatchRunner, QueueBackend, SerialBackend, pool
 from repro.runtime.pool import get_runner
@@ -60,6 +63,24 @@ class TestKeyedPool:
         assert isinstance(serial.backend, SerialBackend)
         assert get_runner(backend="serial") is serial
         assert get_runner() is default  # bare calls still hit the default
+
+    # The REPRO_* variables still pick the pooled runner; since the pool
+    # reads no environment, they reach it through the Session config.
+    def test_backend_env_variable_selects_backend(self, monkeypatch):
+        monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
+        runner = Session().runner()
+        assert isinstance(runner.backend, SerialBackend)
+        assert get_runner(backend="serial") is runner  # same pool key
+
+    def test_store_env_variable_selects_store(self, tmp_path, monkeypatch):
+        path = tmp_path / "env.sqlite"
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        monkeypatch.setenv("REPRO_RESULT_STORE", str(path))
+        runner = Session().runner()
+        assert runner.store is not None
+        assert str(runner.store.path) == str(path)
+        assert get_runner(str(path)) is runner  # same pool key
 
     def test_pool_reads_no_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "env.sqlite"))

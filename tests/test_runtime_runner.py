@@ -376,6 +376,21 @@ class TestStreaming:
             else:
                 assert np.isfinite(pairs[idx].makespan)
 
+    def test_submit_to_an_already_broken_pool_is_a_casualty(self):
+        """A chunk submitted after a sibling's worker died fails its future
+        (and is retried as collateral) instead of raising out of run_iter."""
+        import os
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.runtime.backends.pool import _submit_or_fail
+
+        with ProcessPoolExecutor(max_workers=1) as executor:
+            with pytest.raises(BrokenProcessPool):
+                executor.submit(os._exit, 9).result(timeout=60)
+            late = _submit_or_fail(executor, abs, -1)
+            assert isinstance(late.exception(timeout=0), BrokenProcessPool)
+
     def test_early_close_does_not_block_on_remaining_batch(self,
                                                            sleeper_algorithm):
         """Breaking out of run_iter abandons in-flight pool work promptly."""

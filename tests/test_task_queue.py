@@ -486,6 +486,37 @@ class TestCrossProcess:
             done = [t for t in tasks if store.get(t) is not None]
             assert len(done) == 2
 
+    def test_concurrent_first_opens_of_a_fresh_file(self, tmp_path):
+        """A submitter and a worker opening a new store file together must
+        both succeed on the one file: no "database is locked" from the WAL
+        switch, no store rebuild unlinking it, no queue migration."""
+        import threading
+
+        for attempt in range(40):
+            path = tmp_path / f"fresh{attempt}.sqlite"
+            barrier = threading.Barrier(4)
+            outcomes, errors = [], []
+
+            def open_one(kind):
+                barrier.wait()
+                try:
+                    with kind(path) as handle:
+                        outcomes.append(
+                            handle.stats_counters["rebuilds"]
+                            if kind is ResultStore else int(handle.migrated))
+                except sqlite3.Error as exc:
+                    errors.append(repr(exc))
+
+            threads = [threading.Thread(target=open_one, args=(kind,))
+                       for kind in (ResultStore, ResultStore, TaskQueue,
+                                    TaskQueue)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert errors == []
+            assert outcomes == [0, 0, 0, 0]
+
 
 class TestSchemaMigration:
     """Opening a pre-budget queue self-heals without losing anything real."""

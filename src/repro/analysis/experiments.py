@@ -691,8 +691,7 @@ def experiment_f3_store_warm_vs_cold(scale: str = "quick",
     session = Session(store_path=str(store_path))
 
     def fresh_runner() -> BatchRunner:
-        return session.build_runner(use_processes=True, chunk_size=2,
-                                    backend=None)
+        return session.build_runner(backend="pool", chunk_size=2)
 
     table = ResultTable(
         title="F3: persistent result store — warm vs cold grid re-runs",

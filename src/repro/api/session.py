@@ -52,7 +52,8 @@ class SessionConfig:
         results in-memory only.
     backend:
         Execution backend name (``"serial"`` / ``"pool"`` / ``"queue"``;
-        ``REPRO_BACKEND``); ``None`` keeps the historical auto rule.
+        ``REPRO_BACKEND``); ``None`` picks a process pool iff
+        ``max_workers > 1``, in-process execution otherwise.
     autoscale:
         Queue-backend worker fleet ceiling (``REPRO_AUTOSCALE``); ``0``
         disables autoscaling.  Only meaningful with ``backend="queue"``.

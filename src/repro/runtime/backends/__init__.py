@@ -7,7 +7,8 @@ streaming merge, finalisation); a backend owns *where cold tasks run*:
 name      execution
 ========  ==================================================================
 serial    in-process, one task at a time (zero pool overhead)
-pool      chunked ``concurrent.futures`` process pool, wave-based timeouts
+pool      ``concurrent.futures`` process pool: chunks, timeout waves and
+          crash retries in one dispatch pass
 queue     distributed SQLite work queue shared with ``repro.runtime.worker``
           processes (requires a persistent store)
 ========  ==================================================================
@@ -15,9 +16,8 @@ queue     distributed SQLite work queue shared with ``repro.runtime.worker``
 Select one with ``BatchRunner(backend="pool")``, through
 ``Session(backend=...)``, or fleet-wide with the ``REPRO_BACKEND``
 environment variable (read by :class:`repro.api.SessionConfig`).  The
-default (``backend=None`` / ``"auto"``) preserves the historical
-behaviour: a process pool when more than one worker is usable, in-process
-execution otherwise.
+default (``backend=None`` / ``"auto"``) is a process pool iff the runner's
+``max_workers > 1``, in-process execution otherwise.
 """
 
 from __future__ import annotations
@@ -48,11 +48,11 @@ def make_backend(spec: Union[None, str, ExecutionBackend],
                  options: Optional[dict] = None) -> ExecutionBackend:
     """Resolve a backend spec into a backend bound to ``runner``.
 
-    ``None`` / ``"auto"`` picks :class:`PoolBackend` when the runner wants
-    processes and :class:`SerialBackend` otherwise; a registry name builds
-    that class with ``options`` as constructor kwargs; a ready instance is
-    re-bound to ``runner`` and used as-is (``options`` must then be empty —
-    the instance already made its choices).
+    ``None`` / ``"auto"`` picks :class:`PoolBackend` when the runner has
+    more than one worker and :class:`SerialBackend` otherwise; a registry
+    name builds that class with ``options`` as constructor kwargs; a ready
+    instance is re-bound to ``runner`` and used as-is (``options`` must
+    then be empty — the instance already made its choices).
     """
     if isinstance(spec, ExecutionBackend):
         if options:
@@ -61,7 +61,7 @@ def make_backend(spec: Union[None, str, ExecutionBackend],
         spec.runner = runner
         return spec
     if spec is None or spec == "auto":
-        cls: Type[ExecutionBackend] = (PoolBackend if runner.use_processes
+        cls: Type[ExecutionBackend] = (PoolBackend if runner.max_workers > 1
                                        else SerialBackend)
         return cls(runner, **(options or {}))
     try:

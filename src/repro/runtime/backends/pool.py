@@ -1,17 +1,16 @@
-"""Process-pool execution backend (chunked dispatch, waves, crash recovery)."""
+"""Process-pool execution backend: one dispatch pass, crash retries on fresh pools."""
 
 from __future__ import annotations
 
 from concurrent.futures import (FIRST_COMPLETED, Future,
                                 ProcessPoolExecutor, wait)
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Sequence, Tuple
 
 import time
 
 from repro.runtime.backends.base import (ExecutionBackend,
-                                         resolve_chunk_size, run_chunk,
-                                         run_one)
+                                         resolve_chunk_size, run_chunk)
 
 if TYPE_CHECKING:
     from repro.algorithms.base import AlgorithmResult
@@ -21,15 +20,17 @@ __all__ = ["PoolBackend", "terminate_workers"]
 
 
 def terminate_workers(pool: ProcessPoolExecutor) -> None:
-    """Forcibly stop a pool's worker processes (used after a timeout).
+    """Shut ``pool`` down without waiting and terminate its workers.
 
     ``cancel_futures`` cannot stop a *running* task, so an abandoned pool
-    would otherwise leak a stuck worker per timed-out batch.  Reaches into
-    the executor's worker table; guarded so a CPython-internals change
-    degrades to the old leak instead of an error.
+    would otherwise keep a stuck worker alive (and the interpreter's exit
+    would wait for it).  The worker table is read before ``shutdown``,
+    which clears it; guarded so a CPython-internals change degrades to
+    that leak instead of an error.
     """
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
         try:
             process.terminate()
         except Exception:
@@ -50,217 +51,119 @@ def _submit_or_fail(pool: ProcessPoolExecutor, fn, *args) -> Future:
 
 
 class PoolBackend(ExecutionBackend):
-    """Chunked ``concurrent.futures`` process-pool execution.
+    """``concurrent.futures`` process-pool execution in one dispatch pass.
 
-    * without a runner ``timeout``, tasks are grouped into chunks (see
-      :func:`resolve_chunk_size`) so per-task pickling amortises, and each
-      chunk's results are yielded as its future completes;
-    * with a ``timeout``, tasks are dispatched in *waves* of
-      ``max_workers`` single-task futures, so every task starts its budget
-      when it actually starts running (see :meth:`_iter_waves`);
-    * a dying worker (OOM kill, native-code crash) breaks the whole pool;
-      its casualties are recovered through :meth:`_retry_collateral` on
-      fresh pools so one culprit cannot fail healthy siblings.
+    :meth:`_pass` dispatches *waves* of :func:`run_chunk` futures:
+
+    * without a runner ``timeout``, one wave holds every task, grouped into
+      chunks (see :func:`resolve_chunk_size`) so per-task pickling
+      amortises;
+    * with a ``timeout``, a wave is ``max_workers`` single-task chunks
+      under one deadline, so every task starts its budget when it actually
+      starts running; tasks still running at the deadline time out;
+    * a stuck or broken wave (a timeout, or a dying worker: OOM kill,
+      native-code crash) gets its pool terminated and a fresh pool serves
+      the next wave.
+
+    A dying worker breaks the whole pool, failing healthy siblings along
+    with the culprit.  :meth:`submit` therefore re-runs the casualties
+    together in a second pass (which recovers everything when the death
+    was load-induced), then each repeat casualty alone, so a deterministic
+    culprit cannot keep poisoning the others; after that it is an error.
     """
 
     name = "pool"
 
     def submit(self, tasks: Sequence["BatchTask"]
                ) -> Iterator[Tuple[int, "AlgorithmResult"]]:
-        """Pool execution, yielding each chunk's results as it completes.
+        """Pool execution, yielding each result as its chunk completes.
 
-        Chunks finish in arbitrary order; the yielded local indices keep
-        the caller aligned.  Tasks whose future *raised* (their worker
-        died, breaking the pool) are withheld from the stream, then
-        recovered at the end through the collateral-retry path on fresh
-        pools, so a streaming consumer still sees exactly one result per
-        task.
+        Results arrive in arbitrary order; the yielded local indices keep
+        the caller aligned.  Casualties of a dead worker are withheld until
+        their retry settles them, so a streaming consumer still sees
+        exactly one result per task.
+        """
+        died: List[int] = []
+        for idx, status, outcome in self._pass(tasks, range(len(tasks))):
+            if status == "died":
+                died.append(idx)
+            else:
+                yield idx, self._settle(tasks[idx], status, outcome)
+        died_again: List[int] = []
+        for idx, status, outcome in self._pass(tasks, sorted(died)):
+            if status == "died":
+                died_again.append(idx)
+            else:
+                yield idx, self._settle(tasks[idx], status, outcome)
+        for culprit in sorted(died_again):
+            for idx, status, outcome in self._pass(tasks, [culprit]):
+                yield idx, self._settle(tasks[idx], status, outcome)
+
+    def _settle(self, task: "BatchTask", status: str,
+                outcome: object) -> "AlgorithmResult":
+        """Turn one ``_pass`` status into a result, counted exactly once."""
+        if status == "timeout":
+            self.runner.stats["timeouts"] += 1
+            return self.runner._sentinel(task, timeout=True)
+        return self.runner._finalise(task, status, outcome)
+
+    def _pass(self, tasks: Sequence["BatchTask"], indices: Iterable[int]
+              ) -> Iterator[Tuple[int, str, object]]:
+        """Run ``tasks[i]`` for each of ``indices`` on a process pool.
+
+        Yields ``(index, status, outcome)`` as results arrive: ``status``
+        is :func:`run_one`'s ``"ok"``/``"error"``, ``"timeout"`` (outcome
+        ``None``), or ``"died"`` when the task's worker died (outcome is
+        an error payload).
         """
         runner = self.runner
-        if runner.timeout is not None:
-            wave_casualties: List[Tuple[int, "AlgorithmResult"]] = []
-            for local_idx, result in self._iter_waves(tasks):
-                if "worker died" in str(result.meta.get("error", "")):
-                    wave_casualties.append((local_idx, result))
-                else:
-                    yield local_idx, result
-            if wave_casualties:
-                wave_casualties.sort(key=lambda pair: pair[0])
-                retry_tasks = [tasks[i] for i, _ in wave_casualties]
-                recovered = self._retry_collateral(
-                    retry_tasks, [r for _, r in wave_casualties])
-                for (local_idx, _), result in zip(wave_casualties, recovered):
-                    yield local_idx, result
+        indices = list(indices)
+        if not indices:
             return
-        chunk = resolve_chunk_size(runner.chunk_size, len(tasks),
-                                   runner.max_workers)
-        chunk_indices = [list(range(lo, min(lo + chunk, len(tasks))))
-                         for lo in range(0, len(tasks), chunk)]
-        casualties: List[Tuple[int, str]] = []
-        pool = ProcessPoolExecutor(max_workers=runner.max_workers,
-                                   mp_context=runner._mp_context)
+        timed = runner.timeout is not None
+        size = 1 if timed else resolve_chunk_size(runner.chunk_size, len(indices),
+                                                  runner.max_workers)
+        chunks = [indices[lo:lo + size] for lo in range(0, len(indices), size)]
+        step = runner.max_workers if timed else len(chunks)
+        waves = [chunks[lo:lo + step] for lo in range(0, len(chunks), step)]
+        pool = None
         try:
-            future_to_indices = {}
-            for indices in chunk_indices:
-                payload = [(tasks[i].algorithm, tasks[i].instance,
-                            tasks[i].kwargs_dict()) for i in indices]
-                future_to_indices[_submit_or_fail(pool, run_chunk,
-                                                 payload)] = indices
-            waiting = set(future_to_indices)
-            while waiting:
-                done, waiting = wait(waiting, return_when=FIRST_COMPLETED)
-                for future in done:
-                    indices = future_to_indices[future]
-                    try:
-                        outcomes = future.result()
-                    except Exception as exc:  # worker died (OOM kill, segfault, …)
-                        message = f"worker died: {type(exc).__name__}: {exc}"
-                        casualties.extend((i, message) for i in indices)
-                        continue
-                    for local_idx, (status, outcome) in zip(indices, outcomes):
-                        yield local_idx, runner._finalise(tasks[local_idx],
-                                                          status, outcome)
-        finally:
-            # A consumer that closes the stream early (break / .close())
-            # lands here with chunks still in flight; a plain barrier-style
-            # shutdown would block for the whole remaining batch.  Cancel
-            # what never started and terminate what did — abandoning the
-            # work is the point of breaking out.
-            pool.shutdown(wait=False, cancel_futures=True)
-            terminate_workers(pool)
-        if casualties:
-            casualties.sort()
-            retry_tasks = [tasks[i] for i, _ in casualties]
-            placeholders = []
-            for task, (_, message) in zip(retry_tasks, casualties):
-                runner.stats["errors"] += 1
-                placeholders.append(runner._sentinel(task, error=message))
-            recovered = self._retry_collateral(retry_tasks, placeholders)
-            for (local_idx, _), result in zip(casualties, recovered):
-                yield local_idx, result
-
-    # ------------------------------------------------------------------
-    # timeout mode: wave dispatch
-    # ------------------------------------------------------------------
-    def _iter_waves(self, tasks: Sequence["BatchTask"]
-                    ) -> Iterator[Tuple[int, "AlgorithmResult"]]:
-        """Timeout mode: waves of ``max_workers`` single-task futures.
-
-        Every task in a wave starts on a worker immediately, so its budget
-        is a true per-task wall-clock budget — a queued task never burns its
-        budget waiting behind a stuck sibling, and an early completion never
-        extends the deadline of the others.  Results are yielded the moment
-        their future completes (timeout sentinels at wave end); workers of
-        timed-out tasks are terminated (they cannot be cancelled) and a
-        fresh pool serves the next wave.
-        """
-        runner = self.runner
-        cursor = 0
-        pool = ProcessPoolExecutor(max_workers=runner.max_workers,
-                                   mp_context=runner._mp_context)
-        try:
-            while cursor < len(tasks):
-                wave = list(range(cursor,
-                                  min(cursor + runner.max_workers, len(tasks))))
-                cursor = wave[-1] + 1
-                future_to_index = {
-                    _submit_or_fail(pool, run_one, tasks[idx].algorithm,
-                                   tasks[idx].instance,
-                                   tasks[idx].kwargs_dict()): idx
-                    for idx in wave
-                }
-                deadline = time.monotonic() + runner.timeout
-                pending = set(future_to_index)
-                pool_broken = False
+            for wave in waves:
+                if pool is None:
+                    pool = ProcessPoolExecutor(max_workers=runner.max_workers,
+                                               mp_context=runner._mp_context)
+                future_to_chunk = {
+                    _submit_or_fail(pool, run_chunk,
+                                    [(tasks[i].algorithm, tasks[i].instance,
+                                      tasks[i].kwargs_dict()) for i in chunk]): chunk
+                    for chunk in wave}
+                deadline = time.monotonic() + runner.timeout if timed else None
+                pending = set(future_to_chunk)
+                broken = False
                 while pending:
-                    window = deadline - time.monotonic()
-                    if window <= 0:
+                    window = deadline - time.monotonic() if timed else None
+                    if timed and window <= 0:
                         break
                     done, pending = wait(pending, timeout=window,
                                          return_when=FIRST_COMPLETED)
                     for future in done:
-                        idx = future_to_index[future]
+                        chunk = future_to_chunk[future]
                         try:
-                            status, outcome = future.result()
-                        except Exception as exc:  # worker died mid-task
-                            pool_broken = True
-                            status = "error"
-                            outcome = (f"worker died: {type(exc).__name__}: {exc}",
-                                       None)
-                        yield idx, runner._finalise(tasks[idx], status, outcome)
-                if pending:  # deadline passed with tasks still running
-                    for future in pending:
-                        idx = future_to_index[future]
-                        runner.stats["timeouts"] += 1
-                        yield idx, runner._sentinel(tasks[idx], timeout=True)
-                if pending or pool_broken:  # pool is stuck or broken: replace it
-                    pool.shutdown(wait=False, cancel_futures=True)
+                            outcomes = future.result()
+                        except Exception as exc:  # worker died (OOM kill, segfault, …)
+                            broken = True
+                            message = f"worker died: {type(exc).__name__}: {exc}"
+                            outcomes = [("died", (message, None))] * len(chunk)
+                        for idx, (status, outcome) in zip(chunk, outcomes):
+                            yield idx, status, outcome
+                for future in pending:  # still running at the deadline
+                    for idx in future_to_chunk[future]:
+                        yield idx, "timeout", None
+                if pending or broken:  # stuck or broken: the next wave gets a fresh pool
                     terminate_workers(pool)
-                    pool = ProcessPoolExecutor(max_workers=runner.max_workers,
-                                               mp_context=runner._mp_context)
+                    pool = None
         finally:
-            # Also reached when the consumer closes the stream mid-wave;
-            # terminate so an abandoned wave cannot leak running workers.
-            pool.shutdown(wait=False, cancel_futures=True)
-            terminate_workers(pool)
-
-    # ------------------------------------------------------------------
-    # worker-death recovery
-    # ------------------------------------------------------------------
-    def _retry_collateral(self, tasks: Sequence["BatchTask"],
-                          results: List["AlgorithmResult"]
-                          ) -> List["AlgorithmResult"]:
-        """Re-run tasks that failed because a *sibling's* worker died.
-
-        A dying worker (OOM kill, native-code crash) breaks the whole
-        ``ProcessPoolExecutor``, failing healthy in-flight siblings along
-        with the culprit.  Casualties are first retried together on one
-        fresh pool (cheap, recovers everything when the culprit's death
-        was load-induced); any task that dies again is then isolated in
-        its own single-task pool so a deterministic culprit cannot keep
-        poisoning the others.  After that it keeps its sentinel.
-        """
-        def dead_indices(rs: List["AlgorithmResult"]) -> List[int]:
-            return [i for i, r in enumerate(rs)
-                    if "worker died" in str(r.meta.get("error", ""))]
-
-        dead = dead_indices(results)
-        if not dead:
-            return results
-        group = self._execute_pool([tasks[i] for i in dead])
-        self.runner.stats["errors"] -= len(dead)  # superseded by the retry outcomes
-        for idx, result in zip(dead, group):
-            results[idx] = result
-        still_dead = dead_indices(results)
-        self.runner.stats["errors"] -= len(still_dead)
-        for idx in still_dead:
-            results[idx] = self._execute_pool([tasks[idx]])[0]
-        return results
-
-    def _execute_pool(self, tasks: Sequence["BatchTask"]
-                      ) -> List["AlgorithmResult"]:
-        """Collect one pool pass in submission order (collateral-retry path)."""
-        runner = self.runner
-        if runner.timeout is not None:
-            collected = sorted(self._iter_waves(tasks), key=lambda pair: pair[0])
-            return [result for _, result in collected]
-        chunk = resolve_chunk_size(runner.chunk_size, len(tasks),
-                                   runner.max_workers)
-        payloads = [[(t.algorithm, t.instance, t.kwargs_dict())
-                     for t in tasks[i:i + chunk]]
-                    for i in range(0, len(tasks), chunk)]
-        results: List["AlgorithmResult"] = []
-        with ProcessPoolExecutor(max_workers=runner.max_workers,
-                                 mp_context=runner._mp_context) as pool:
-            futures = [_submit_or_fail(pool, run_chunk, payload)
-                       for payload in payloads]
-            for future, payload in zip(futures, payloads):  # submission order
-                try:
-                    outcomes = future.result()
-                except Exception as exc:  # worker died (OOM kill, segfault, …)
-                    outcomes = [("error", (f"worker died: {type(exc).__name__}: {exc}",
-                                           None))] * len(payload)
-                for status, outcome in outcomes:
-                    results.append(runner._finalise(tasks[len(results)], status,
-                                                    outcome))
-        return results
+            # Also reached when the consumer closes the stream early; a
+            # barrier-style shutdown would block on the remaining work.
+            if pool is not None:
+                terminate_workers(pool)

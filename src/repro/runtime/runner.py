@@ -222,21 +222,17 @@ class BatchRunner:
     Parameters
     ----------
     max_workers:
-        Pool size; ``None`` auto-detects the usable CPU count.  A resolved
-        value of 1 runs tasks in-process (no pool, no pickling) unless
-        ``use_processes=True`` forces a pool.
-    use_processes:
-        ``None`` (default) uses a pool iff more than one worker; ``True`` /
-        ``False`` force the choice.
+        Pool size; ``None`` auto-detects the usable CPU count.  Under the
+        default ``backend``, a resolved value of 1 runs tasks in-process
+        (no pool, no pickling); pass ``backend="pool"`` to force a pool.
     timeout:
-        Per-task wall-clock budget in seconds.  In pool mode tasks are
-        dispatched in waves of ``max_workers`` (so every task starts its
-        budget when it actually starts running); a task whose result has
-        not arrived when its wave's deadline passes yields a timeout
-        sentinel, its (presumably stuck) worker processes are terminated,
-        and a fresh pool serves the remaining waves.  In in-process mode
-        the check is necessarily post-hoc (the task runs to completion,
-        then is replaced by the sentinel).
+        Per-task wall-clock budget in seconds.  The pool backend runs
+        tasks one per worker in waves of ``max_workers`` under one
+        deadline (so every task starts its budget when it actually starts
+        running); a task still running at the deadline yields a timeout
+        sentinel, its worker is terminated, and a fresh pool serves the
+        next wave.  In-process the check is necessarily post-hoc (the
+        task runs to completion, then is replaced by the sentinel).
     cache:
         Enable the content-hash result cache.  A cache hit returns the
         *identical* ``AlgorithmResult`` object that the first run produced
@@ -260,17 +256,17 @@ class BatchRunner:
         runs.
     chunk_size:
         Tasks per pool submission; ``None`` picks ``ceil(len/4·workers)``
-        capped at 16.  Not used when ``timeout`` is set (wave dispatch is
-        per-task).
+        capped at 16.  Not used when ``timeout`` is set (each task is its
+        own submission so its budget is its own).
     backend:
         Where cold tasks execute: a name from
         :data:`repro.runtime.backends.BACKENDS` (``"serial"``, ``"pool"``,
         ``"queue"``), a ready :class:`ExecutionBackend` instance, or
-        ``None`` / ``"auto"`` to keep the historical rule — a process pool
-        iff ``use_processes`` resolves true, in-process otherwise.  The
-        queue backend additionally needs a ``store`` (the queue lives in
-        the store file) and is drained by this process and/or external
-        ``python -m repro.runtime.worker`` processes.
+        ``None`` / ``"auto"`` for a process pool iff ``max_workers > 1``,
+        in-process otherwise.  The queue backend additionally needs a
+        ``store`` (the queue lives in the store file) and is drained by
+        this process and/or external ``python -m repro.runtime.worker``
+        processes.
     backend_options:
         Extra constructor kwargs for a *named* backend (e.g.
         ``{"inline": False, "lease_s": 10.0}`` for ``"queue"``).
@@ -286,7 +282,6 @@ class BatchRunner:
         self,
         *,
         max_workers: Optional[int] = None,
-        use_processes: Optional[bool] = None,
         timeout: Optional[float] = None,
         cache: bool = True,
         store: Union[None, str, Path, ResultStore] = None,
@@ -301,8 +296,6 @@ class BatchRunner:
         if refit_every is not None and refit_every < 1:
             raise ValueError("refit_every must be >= 1 (or None to disable)")
         self.max_workers = max_workers if max_workers is not None else usable_cpus()
-        self.use_processes = (self.max_workers > 1 if use_processes is None
-                              else bool(use_processes))
         self.timeout = timeout
         self.cache_enabled = cache
         self.chunk_size = chunk_size

@@ -1,6 +1,6 @@
 """BatchRunner edge cases: empty grids, caching, timeouts, errors, portfolio.
 
-The pool tests force ``use_processes=True`` so the dispatch path is
+The pool tests force ``backend="pool"`` so the dispatch path is
 exercised even on single-CPU hosts (where the runner would otherwise
 degrade to in-process execution).
 """
@@ -25,6 +25,7 @@ from repro.runtime import (
     register_algorithm,
     unregister_algorithm,
 )
+from repro.runtime.backends import SerialBackend
 
 FAST_GRID = ["lpt-with-setups", "class-aware-greedy", "best-machine"]
 
@@ -97,13 +98,13 @@ class TestEmptyAndTrivialGrids:
 class TestDispatchModes:
     def test_single_worker_runs_in_process(self):
         runner = BatchRunner(max_workers=1)
-        assert not runner.use_processes
+        assert isinstance(runner.backend, SerialBackend)
 
     def test_single_worker_matches_pool(self):
         instances = [uniform_instance(15, 3, 3, seed=s, integral=True)
                      for s in range(4)]
         serial = BatchRunner(max_workers=1, cache=False).run(FAST_GRID, instances)
-        pooled = BatchRunner(max_workers=2, use_processes=True,
+        pooled = BatchRunner(max_workers=2, backend="pool",
                              cache=False).run(FAST_GRID, instances)
         assert [t.algorithm for t in serial.tasks] == [t.algorithm for t in pooled.tasks]
         assert [r.makespan for r in serial.results] == [r.makespan for r in pooled.results]
@@ -112,7 +113,7 @@ class TestDispatchModes:
     def test_chunked_dispatch_preserves_task_order(self):
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
                      for s in range(5)]
-        runner = BatchRunner(max_workers=2, use_processes=True, cache=False,
+        runner = BatchRunner(max_workers=2, backend="pool", cache=False,
                              chunk_size=2)
         batch = runner.run(FAST_GRID, instances)
         reference = BatchRunner(max_workers=1, cache=False).run(FAST_GRID, instances)
@@ -120,14 +121,14 @@ class TestDispatchModes:
                                                        for r in reference.results]
 
     def test_map_matches_serial(self):
-        runner = BatchRunner(max_workers=2, use_processes=True)
+        runner = BatchRunner(max_workers=2, backend="pool")
         assert runner.map(abs, [-3, 1, -2, 0]) == [3, 1, 2, 0]
 
 
 class TestTimeouts:
     def test_worker_timeout_yields_sentinel(self, sleeper_algorithm):
         inst = uniform_instance(10, 2, 2, seed=0, integral=True)
-        runner = BatchRunner(max_workers=2, use_processes=True, timeout=0.2)
+        runner = BatchRunner(max_workers=2, backend="pool", timeout=0.2)
         result = runner.run_one(sleeper_algorithm, inst, delay=1.2)
         assert result.meta.get("timeout") is True
         assert result.makespan == float("inf")
@@ -135,7 +136,7 @@ class TestTimeouts:
 
     def test_timeout_does_not_poison_fast_tasks(self, sleeper_algorithm):
         inst = uniform_instance(10, 2, 2, seed=0, integral=True)
-        runner = BatchRunner(max_workers=2, use_processes=True, timeout=0.5)
+        runner = BatchRunner(max_workers=2, backend="pool", timeout=0.5)
         batch = runner.run_tasks([
             BatchTask.make("class-aware-greedy", inst),
             BatchTask.make(sleeper_algorithm, inst, {"delay": 1.5}),
@@ -149,7 +150,7 @@ class TestTimeouts:
         # One worker: the second task is queued behind the stuck one; wave
         # dispatch must give it a fresh budget on a fresh worker.
         inst = uniform_instance(10, 2, 2, seed=0, integral=True)
-        runner = BatchRunner(max_workers=1, use_processes=True, timeout=0.4)
+        runner = BatchRunner(max_workers=1, backend="pool", timeout=0.4)
         batch = runner.run_tasks([
             BatchTask.make(sleeper_algorithm, inst, {"delay": 2.0}),
             BatchTask.make("class-aware-greedy", inst),
@@ -157,6 +158,20 @@ class TestTimeouts:
         stuck, queued = batch.results
         assert stuck.meta.get("timeout") is True
         assert not queued.meta.get("timeout") and np.isfinite(queued.makespan)
+
+    def test_timed_out_worker_is_terminated(self, sleeper_algorithm):
+        # A stuck worker must not outlive its wave (it would also hold up
+        # the interpreter's exit until its task finished).
+        import multiprocessing
+        before = set(multiprocessing.active_children())
+        inst = uniform_instance(10, 2, 2, seed=0, integral=True)
+        runner = BatchRunner(max_workers=2, backend="pool", timeout=0.2)
+        assert runner.run_one(sleeper_algorithm, inst, delay=30.0).meta["timeout"]
+        deadline = time.monotonic() + 5.0
+        while (set(multiprocessing.active_children()) - before
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert not set(multiprocessing.active_children()) - before
 
     def test_serial_timeout_is_post_hoc(self, sleeper_algorithm):
         inst = uniform_instance(10, 2, 2, seed=0, integral=True)
@@ -177,24 +192,50 @@ class TestErrorCapture:
 
     def test_error_in_pool_mode(self, failing_algorithm):
         inst = uniform_instance(10, 2, 2, seed=0, integral=True)
-        runner = BatchRunner(max_workers=2, use_processes=True)
+        runner = BatchRunner(max_workers=2, backend="pool")
         batch = runner.run([failing_algorithm, "class-aware-greedy"], [inst])
         failed, ok = batch.results
         assert "ValueError" in str(failed.meta["error"])
         assert np.isfinite(ok.makespan)
 
-    def test_worker_death_is_captured_and_siblings_recover(self, dying_algorithm):
+    @pytest.mark.parametrize("timeout", [None, 30.0])
+    def test_worker_death_is_captured_and_siblings_recover(self, dying_algorithm,
+                                                           timeout):
         # A dying worker breaks the whole pool; the culprit must come back
         # as an error sentinel while collateral sibling tasks are retried.
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
                      for s in range(3)]
-        runner = BatchRunner(max_workers=2, use_processes=True, cache=False,
-                             chunk_size=1)
+        runner = BatchRunner(max_workers=2, backend="pool", cache=False,
+                             chunk_size=1, timeout=timeout)
         batch = runner.run([dying_algorithm, "class-aware-greedy"], instances)
         died = batch.by_algorithm(dying_algorithm)
         ok = batch.by_algorithm("class-aware-greedy")
         assert all("worker died" in str(r.meta.get("error")) for r in died)
         assert all(np.isfinite(r.makespan) for r in ok)
+        assert runner.stats["errors"] == 3  # one per dying task, counted once
+
+    def test_error_mentioning_worker_death_runs_once(self, tmp_path):
+        # An ordinary exception whose text reads like a crash is still an
+        # ordinary error: it must not be re-run as a worker-death casualty.
+        name = "test-died-text"
+        marks = tmp_path / "runs.txt"
+
+        @register_algorithm(name, tags=("test",))
+        def _liar(instance: Instance) -> AlgorithmResult:
+            with open(marks, "a") as handle:
+                handle.write("x")
+            raise RuntimeError("worker died: not really")
+
+        try:
+            inst = uniform_instance(10, 2, 2, seed=0, integral=True)
+            runner = BatchRunner(max_workers=2, backend="pool", cache=False,
+                                 timeout=30)
+            result = runner.run_one(name, inst)
+        finally:
+            unregister_algorithm(name)
+        assert "worker died: not really" in str(result.meta["error"])
+        assert marks.read_text() == "x"
+        assert runner.stats["errors"] == 1
 
     def test_unknown_algorithm_is_captured_not_raised(self):
         inst = uniform_instance(10, 2, 2, seed=0, integral=True)
@@ -354,7 +395,7 @@ class TestStreaming:
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
                      for s in range(5)]
         tasks = [BatchTask.make("class-aware-greedy", inst) for inst in instances]
-        runner = BatchRunner(max_workers=2, use_processes=True, cache=False,
+        runner = BatchRunner(max_workers=2, backend="pool", cache=False,
                              chunk_size=2)
         pairs = list(runner.run_iter(tasks))
         assert sorted(idx for idx, _ in pairs) == list(range(5))
@@ -366,7 +407,7 @@ class TestStreaming:
         tasks = [BatchTask.make(name, inst)
                  for inst in instances
                  for name in (dying_algorithm, "class-aware-greedy")]
-        runner = BatchRunner(max_workers=2, use_processes=True, cache=False,
+        runner = BatchRunner(max_workers=2, backend="pool", cache=False,
                              chunk_size=1)
         pairs = dict(runner.run_iter(tasks))
         assert sorted(pairs) == list(range(len(tasks)))
@@ -396,7 +437,7 @@ class TestStreaming:
         """Breaking out of run_iter abandons in-flight pool work promptly."""
         inst_fast = uniform_instance(12, 3, 3, seed=0, integral=True)
         inst_slow = uniform_instance(12, 3, 3, seed=1, integral=True)
-        runner = BatchRunner(max_workers=1, use_processes=True, cache=False,
+        runner = BatchRunner(max_workers=1, backend="pool", cache=False,
                              chunk_size=1)
         tasks = [BatchTask.make("class-aware-greedy", inst_fast),
                  BatchTask.make(sleeper_algorithm, inst_slow, {"delay": 5.0})]

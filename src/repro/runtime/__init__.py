@@ -28,11 +28,10 @@ This package turns the loose algorithm functions of
   stamped by the submitter and enforced by whichever worker leases the
   row).
 * :mod:`repro.runtime.supervisor` — ``python -m repro.runtime.supervisor``
-  autoscales the worker fleet: spawn on queue depth (optionally weighted
-  by the cost model's predicted seconds via ``--spawn-horizon-s`` —
-  spawn for *work*, not for rows), restart crashed workers behind an
-  exponential backoff with a consecutive-crash cap, retire on idle, exit
-  when the queue drains.  Submitters opt in with
+  autoscales the worker fleet: one worker per outstanding task up to
+  ``--max-workers``, crashed workers restarted behind an exponential
+  backoff with a consecutive-crash cap, retirement on idle, exit when
+  the queue drains.  Submitters opt in with
   ``QueueBackend(autoscale=N)`` or ``Session(autoscale=N)``.
 * :mod:`repro.runtime.pool` — :func:`get_runner`, the canonical keyed
   runner pool (one runner per ``(store, backend)`` pair, shared

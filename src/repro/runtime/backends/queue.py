@@ -131,14 +131,7 @@ class QueueBackend(ExecutionBackend):
         ``max(min_budget_s, budget_factor × predicted)`` — generous
         enough that honest variance never trips it, tight enough that a
         pathological task is flagged.  Without either, rows travel
-        unbudgeted.  The *raw* prediction is additionally stamped as the
-        row's ``predicted_s`` so the supervisor can weight queue depth by
-        work, not row count.
-    spawn_horizon_s:
-        Forwarded to the autoscaling supervisor: spawn one worker per
-        this many predicted seconds of queued work (see
-        ``SupervisorPolicy``).  ``None`` keeps depth-proportional
-        scaling.  Only meaningful with ``autoscale``.
+        unbudgeted.
     """
 
     name = "queue"
@@ -150,8 +143,7 @@ class QueueBackend(ExecutionBackend):
                  worker_id: Optional[str] = None,
                  autoscale: Union[None, bool, int] = None,
                  budget_factor: float = 8.0,
-                 min_budget_s: float = 1.0,
-                 spawn_horizon_s: Optional[float] = None) -> None:
+                 min_budget_s: float = 1.0) -> None:
         super().__init__(runner)
         self.lease_s = float(lease_s)
         self.poll_s = float(poll_s)
@@ -164,31 +156,20 @@ class QueueBackend(ExecutionBackend):
         self.autoscale = max(0, int(autoscale or 0))
         self.budget_factor = float(budget_factor)
         self.min_budget_s = float(min_budget_s)
-        if spawn_horizon_s is not None and float(spawn_horizon_s) < 0:
-            # Mirror SupervisorPolicy: a typo'd horizon must not silently
-            # fall back to one-fork-per-row scaling.  (0 means "disabled",
-            # matching the CLI flag's convention.)
-            raise ValueError("spawn_horizon_s must be >= 0 (or None)")
-        self.spawn_horizon_s = (float(spawn_horizon_s)
-                                if spawn_horizon_s else None)
 
-    def _policy_for(self, task: "BatchTask"
-                    ) -> Tuple[Optional[float], Optional[float]]:
-        """``(budget_s, predicted_s)`` to stamp on this task's queue row.
+    def _budget_for(self, task: "BatchTask") -> Optional[float]:
+        """The ``budget_s`` to stamp on this task's queue row.
 
-        The budget is enforced (post-hoc) by whichever worker leases the
-        row; the raw prediction is scaling advice for the supervisor and
-        is stamped even when an explicit ``timeout`` decides the budget.
+        Enforced (post-hoc) by whichever worker leases the row.
         """
         runner = self.runner
+        if runner.timeout is not None:
+            return float(runner.timeout)
         model = runner.cost_model()
         predicted = model.predict_task(task) if model is not None else None
-        predicted = float(predicted) if predicted is not None else None
-        if runner.timeout is not None:
-            return float(runner.timeout), predicted
         if predicted is None:
-            return None, None
-        return max(self.min_budget_s, self.budget_factor * predicted), predicted
+            return None
+        return max(self.min_budget_s, self.budget_factor * float(predicted))
 
     def submit(self, tasks: Sequence["BatchTask"]
                ) -> Iterator[Tuple[int, "AlgorithmResult"]]:
@@ -206,24 +187,20 @@ class QueueBackend(ExecutionBackend):
         armed: set = set()  # keys *we* queued (ok to cancel on early exit)
         # Budgets travel with the rows: the submitter's policy (explicit
         # timeout, else cost-model prediction) is computed once per key
-        # here and enforced by whichever worker leases the row.  The raw
-        # predictions ride along as the supervisor's scaling signal.
-        policy_by_key: Dict[str, Tuple[Optional[float], Optional[float]]] = {
-            key: self._policy_for(tasks[indices[0]])
+        # here and enforced by whichever worker leases the row.
+        budget_by_key: Dict[str, Optional[float]] = {
+            key: self._budget_for(tasks[indices[0]])
             for key, indices in by_key.items()}
         supervisor = None
         try:
             first = [tasks[indices[0]] for indices in by_key.values()]
             armed = set(queue.enqueue(
-                first,
-                budgets=[policy_by_key[t.cache_key()][0] for t in first],
-                predictions=[policy_by_key[t.cache_key()][1] for t in first]))
+                first, budgets=[budget_by_key[t.cache_key()] for t in first]))
             if self.autoscale > 0:
                 from repro.runtime.supervisor import spawn_supervisor
                 supervisor = spawn_supervisor(store.path,
                                               max_workers=self.autoscale,
-                                              lease_s=self.lease_s,
-                                              spawn_horizon_s=self.spawn_horizon_s)
+                                              lease_s=self.lease_s)
             last_progress = time.monotonic()
             while unresolved:
                 progressed = False
@@ -243,7 +220,7 @@ class QueueBackend(ExecutionBackend):
                 # Keys the queue declared failed (deterministic algorithm
                 # error on a worker, or the crash-retry budget ran out) —
                 # and 'done' rows whose published result has vanished from
-                # the store (eviction, version purge): requeue those, or
+                # the store (version purge, cleared store): requeue those, or
                 # the batch would wait forever on a row nobody may lease.
                 if unresolved:
                     snapshot = queue.rows(list(unresolved))
@@ -277,9 +254,7 @@ class QueueBackend(ExecutionBackend):
                     if vanished:
                         armed.update(queue.enqueue(
                             [tasks[unresolved[key][0]] for key in vanished],
-                            budgets=[policy_by_key[key][0] for key in vanished],
-                            predictions=[policy_by_key[key][1]
-                                         for key in vanished]))
+                            budgets=[budget_by_key[key] for key in vanished]))
                         progressed = True
 
                 # Drain one task ourselves (possibly someone else's — the
@@ -310,13 +285,12 @@ class QueueBackend(ExecutionBackend):
                             f"(see its log on stderr)")
                     if rc == 0 and queue.outstanding() > 0:
                         # It drained and exited — but work re-armed *after*
-                        # that (an evicted done-row requeue, a vanished-key
-                        # re-enqueue above) still needs a fleet.
+                        # that (a vanished-result done-row requeue, a
+                        # vanished-key re-enqueue above) still needs a fleet.
                         from repro.runtime.supervisor import spawn_supervisor
                         supervisor = spawn_supervisor(
                             store.path, max_workers=self.autoscale,
-                            lease_s=self.lease_s,
-                            spawn_horizon_s=self.spawn_horizon_s)
+                            lease_s=self.lease_s)
                 if (self.stall_timeout_s is not None
                         and time.monotonic() - last_progress > self.stall_timeout_s):
                     raise RuntimeError(

@@ -6,6 +6,7 @@
         [--lease-s S] [--poll-s S] [--idle-grace-s S]
         [--restart-backoff-s S] [--restart-cap N]
         [--worker-module M] [--worker-args "ARGS"]
+        [--worker-idle-exit S] [--worker-poll-s S]
 
 PR 3 left the distributed queue needing hand-started workers; the
 supervisor closes that loop.  It watches the ``task_queue`` table's
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import shlex
 import signal
@@ -56,6 +56,9 @@ __all__ = ["SupervisorPolicy", "Supervisor", "spawn_supervisor", "main"]
 
 logger = logging.getLogger("repro.supervisor")
 
+#: Each consecutive crash multiplies the restart backoff by this factor.
+BACKOFF_FACTOR = 2.0
+
 
 class SupervisorPolicy:
     """Pure scaling/restart decisions — no subprocesses, no sleeps.
@@ -69,9 +72,9 @@ class SupervisorPolicy:
         retired (and, with nothing left to reap, the supervisor exits).
         The hysteresis that keeps a bursty submitter from flapping the
         fleet.
-    restart_backoff_s / backoff_factor / max_backoff_s:
+    restart_backoff_s / max_backoff_s:
         After the *k*-th consecutive crash, spawning is suspended for
-        ``min(max_backoff_s, restart_backoff_s · backoff_factor^(k-1))``
+        ``min(max_backoff_s, restart_backoff_s · BACKOFF_FACTOR^(k-1))``
         seconds.
     restart_cap:
         Consecutive crashes after which the policy stops restarting
@@ -79,36 +82,22 @@ class SupervisorPolicy:
         starts will keep dying; forking it forever helps nobody.  A clean
         (rc 0) exit proves the fleet can make progress and resets the
         counter.
-    spawn_horizon_s:
-        Cost-weighted scaling: spawn one worker per this many *predicted
-        seconds* of queued work (the cost-model ``predicted_s`` the
-        submitter stamped on each row), instead of one per outstanding
-        row.  A 50-row grid of 20ms tasks is one worker's next second of
-        work, not 50 forks.  ``None`` (default) keeps depth-proportional
-        scaling; rows without a prediction count ``spawn_horizon_s``
-        each, i.e. unknown work still earns a worker of its own.
     clock:
         Time source (``time.monotonic`` unless overridden); tests inject
         a :class:`~repro.testing.clock.FakeClock`.
     """
 
     def __init__(self, *, max_workers: int, idle_grace_s: float = 1.0,
-                 restart_backoff_s: float = 0.5, backoff_factor: float = 2.0,
-                 max_backoff_s: float = 30.0, restart_cap: int = 5,
-                 spawn_horizon_s: Optional[float] = None,
+                 restart_backoff_s: float = 0.5, max_backoff_s: float = 30.0,
+                 restart_cap: int = 5,
                  clock: Callable[[], float] = time.monotonic) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if restart_cap < 1:
             raise ValueError("restart_cap must be >= 1")
-        if spawn_horizon_s is not None and spawn_horizon_s <= 0:
-            raise ValueError("spawn_horizon_s must be > 0 (or None)")
-        self.spawn_horizon_s = (float(spawn_horizon_s)
-                                if spawn_horizon_s is not None else None)
         self.max_workers = int(max_workers)
         self.idle_grace_s = float(idle_grace_s)
         self.restart_backoff_s = float(restart_backoff_s)
-        self.backoff_factor = float(backoff_factor)
         self.max_backoff_s = float(max_backoff_s)
         self.restart_cap = int(restart_cap)
         self._clock = clock
@@ -123,8 +112,7 @@ class SupervisorPolicy:
     # ------------------------------------------------------------------
     # decisions
     # ------------------------------------------------------------------
-    def scale(self, *, queued: int, leased: int, live: int,
-              queued_work_s: Optional[float] = None) -> int:
+    def scale(self, *, queued: int, leased: int, live: int) -> int:
         """The worker-count delta for this tick.
 
         Positive: spawn that many workers (depth demands them, crash
@@ -133,24 +121,12 @@ class SupervisorPolicy:
         includes the case of more live workers than outstanding tasks
         while work remains: busy workers are never culled mid-task, they
         retire themselves (or idle out) when the queue empties.
-
-        ``queued_work_s`` (the predicted seconds sitting in ``queued``
-        rows, from :meth:`TaskQueue.queued_work_seconds`) activates
-        cost-weighted scaling when ``spawn_horizon_s`` is set: the fleet
-        target becomes ``ceil(queued_work_s / spawn_horizon_s)`` workers
-        for the queued work plus one per leased row — never more than
-        depth-proportional scaling would spawn, never less than one
-        while work is outstanding.
         """
         now = self._clock()
         outstanding = queued + leased
         if outstanding > 0:
             self._idle_since = None
             desired = min(self.max_workers, outstanding)
-            if self.spawn_horizon_s is not None and queued_work_s is not None:
-                weighted = (math.ceil(queued_work_s / self.spawn_horizon_s)
-                            + leased)
-                desired = min(desired, max(1, weighted))
             if live >= desired or self.exhausted or now < self._backoff_until:
                 return 0
             return desired - live
@@ -177,7 +153,7 @@ class SupervisorPolicy:
         self.total_crashes += 1
         delay = min(self.max_backoff_s,
                     self.restart_backoff_s
-                    * self.backoff_factor ** (self.crashes - 1))
+                    * BACKOFF_FACTOR ** (self.crashes - 1))
         self._backoff_until = self._clock() + delay
         return "crashed"
 
@@ -216,20 +192,14 @@ class Supervisor:
     store_path:
         The shared SQLite store/queue file workers drain.
     max_workers:
-        Fleet ceiling (forwarded to the default policy).
-    policy:
-        A ready :class:`SupervisorPolicy`; overrides ``max_workers`` /
-        ``idle_grace_s`` / ``restart_backoff_s`` / ``restart_cap``.
+        Fleet ceiling (default: the usable CPU count).
+    idle_grace_s / restart_backoff_s / restart_cap:
+        Forwarded to the :class:`SupervisorPolicy`.
     lease_s:
         Lease duration, both for this process's reclaim sweeps and for
         the spawned workers (kept identical so expiry judgements agree).
     poll_s:
         Supervisor tick interval.
-    spawn_horizon_s:
-        Cost-weighted scaling (forwarded to the default policy): spawn
-        one worker per this many predicted seconds of queued work
-        instead of one per row.  ``None`` keeps depth-proportional
-        scaling.
     worker_module:
         The ``python -m`` module spawned as a worker
         (``repro.runtime.worker``; tests substitute
@@ -241,8 +211,6 @@ class Supervisor:
         ``idle_grace_s`` so the supervisor, not the worker, decides
         retirement (either way is safe — a self-exited worker is reaped
         as retired).
-    sleep:
-        Injectable sleep for the tick loop (tests pass a fake).
 
     :meth:`run` blocks until the queue drains (or the crash cap trips)
     and returns a summary dict; ``events`` keeps the human-readable log
@@ -251,34 +219,27 @@ class Supervisor:
 
     def __init__(self, store_path: Union[str, Path], *,
                  max_workers: Optional[int] = None,
-                 policy: Optional[SupervisorPolicy] = None,
                  lease_s: float = 60.0, poll_s: float = 0.2,
                  idle_grace_s: float = 1.0, restart_backoff_s: float = 0.5,
                  restart_cap: int = 5,
-                 spawn_horizon_s: Optional[float] = None,
                  worker_module: str = "repro.runtime.worker",
                  worker_args: Sequence[str] = (),
                  worker_idle_exit: float = 10.0,
-                 worker_poll_s: float = 0.05,
-                 sleep: Callable[[float], None] = time.sleep) -> None:
+                 worker_poll_s: float = 0.05) -> None:
         self.store_path = Path(store_path)
-        if policy is None:
-            if max_workers is None:
-                from repro.runtime.runner import usable_cpus
-                max_workers = usable_cpus()
-            policy = SupervisorPolicy(max_workers=max_workers,
-                                      idle_grace_s=idle_grace_s,
-                                      restart_backoff_s=restart_backoff_s,
-                                      restart_cap=restart_cap,
-                                      spawn_horizon_s=spawn_horizon_s)
-        self.policy = policy
+        if max_workers is None:
+            from repro.runtime.runner import usable_cpus
+            max_workers = usable_cpus()
+        self.policy = SupervisorPolicy(max_workers=max_workers,
+                                       idle_grace_s=idle_grace_s,
+                                       restart_backoff_s=restart_backoff_s,
+                                       restart_cap=restart_cap)
         self.lease_s = float(lease_s)
         self.poll_s = float(poll_s)
         self.worker_module = worker_module
         self.worker_args = list(worker_args)
         self.worker_idle_exit = float(worker_idle_exit)
         self.worker_poll_s = float(worker_poll_s)
-        self._sleep = sleep
         self.events: List[str] = []
         self.summary: Dict[str, object] = {
             "spawned": 0, "crashed": 0, "restarts": 0, "retired": 0,
@@ -318,12 +279,6 @@ class Supervisor:
                             f"backoff {self.policy.backoff_remaining:.2f}s")
                 counts = queue.counts()
                 outstanding = counts["queued"] + counts["leased"]
-                queued_work_s = None
-                if self.policy.spawn_horizon_s is not None:
-                    # Unknown-prediction rows count a full horizon each:
-                    # unpredicted work still earns its own worker.
-                    _, queued_work_s = queue.queued_work_seconds(
-                        default_s=self.policy.spawn_horizon_s)
                 self.policy.note_progress(counts["done"])
                 if outstanding == 0 and not workers:
                     self.summary["drained"] = True
@@ -347,8 +302,7 @@ class Supervisor:
                     return dict(self.summary)
                 delta = self.policy.scale(queued=counts["queued"],
                                           leased=counts["leased"],
-                                          live=len(workers),
-                                          queued_work_s=queued_work_s)
+                                          live=len(workers))
                 if delta > 0:
                     for _ in range(delta):
                         seq += 1
@@ -372,7 +326,7 @@ class Supervisor:
                         retiring.add(wid)
                         workers[wid].terminate()
                         self._event(f"retiring idle worker {wid}")
-                self._sleep(self.poll_s)
+                time.sleep(self.poll_s)
         finally:
             for proc in workers.values():
                 proc.terminate()
@@ -423,9 +377,7 @@ def child_env() -> Dict[str, str]:
 
 
 def spawn_supervisor(store_path: Union[str, Path], *, max_workers: int,
-                     lease_s: float = 60.0,
-                     spawn_horizon_s: Optional[float] = None,
-                     extra_args: Sequence[str] = ()) -> subprocess.Popen:
+                     lease_s: float = 60.0) -> subprocess.Popen:
     """Start ``python -m repro.runtime.supervisor`` as a subprocess.
 
     The submitter-facing entry point behind
@@ -437,9 +389,6 @@ def spawn_supervisor(store_path: Union[str, Path], *, max_workers: int,
     cmd = [sys.executable, "-m", "repro.runtime.supervisor",
            "--store", str(store_path), "--max-workers", str(max_workers),
            "--lease-s", str(lease_s)]
-    if spawn_horizon_s is not None:
-        cmd += ["--spawn-horizon-s", str(spawn_horizon_s)]
-    cmd += list(extra_args)
     return subprocess.Popen(cmd, env=child_env(), stdout=subprocess.DEVNULL)
 
 
@@ -465,10 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--restart-cap", type=int, default=5,
                         help="consecutive crashes before giving up "
                              "(default: 5)")
-    parser.add_argument("--spawn-horizon-s", type=float, default=0.0,
-                        help="cost-weighted scaling: spawn one worker per "
-                             "this many predicted seconds of queued work "
-                             "(0 disables: one worker per outstanding row)")
     parser.add_argument("--worker-module", default="repro.runtime.worker",
                         help="python -m module to spawn as workers")
     parser.add_argument("--worker-args", default="", metavar="ARGS",
@@ -497,8 +442,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         poll_s=args.poll_s, idle_grace_s=args.idle_grace_s,
         restart_backoff_s=args.restart_backoff_s,
         restart_cap=args.restart_cap,
-        spawn_horizon_s=(args.spawn_horizon_s
-                         if args.spawn_horizon_s > 0 else None),
         worker_module=args.worker_module,
         worker_args=shlex.split(args.worker_args),
         worker_idle_exit=args.worker_idle_exit,

@@ -6,7 +6,7 @@ This package is the durability and prediction layer under
 * :class:`ResultStore` — a content-addressed, on-disk cache of
   :class:`~repro.algorithms.base.AlgorithmResult` objects (single SQLite
   file, WAL mode) keyed by ``BatchTask.cache_key()``, with bulk prefetch,
-  LRU-style eviction, and a self-healing open path.  Plugged into
+  read-only hits, no eviction, and a self-healing open path.  Plugged into
   ``BatchRunner(store=...)`` it makes the content-hash cache survive
   process restarts: a re-run of yesterday's sweep streams from disk.
 * :class:`CostModel` — log-linear per-algorithm runtime predictors fitted

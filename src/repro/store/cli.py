@@ -7,8 +7,8 @@ Usage (the store path defaults to ``$REPRO_RESULT_STORE``)::
     python -m repro.store export [--store PATH] [--output FILE]
 
 ``stats`` aggregates entry counts, payload sizes, and recorded solver
-seconds per algorithm; ``vacuum`` runs the eviction policy and reclaims
-file space; ``export`` dumps run metadata as JSON lines (for offline cost
+seconds per algorithm; ``vacuum`` reclaims file space (entries are kept);
+``export`` dumps run metadata as JSON lines (for offline cost
 -model analysis) without unpickling any payload.
 """
 
@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="print aggregate store statistics").add_argument(
         "--json", action="store_true", help="emit machine-readable JSON")
     sub.add_parser("vacuum", parents=[common],
-                   help="evict per policy and reclaim file space")
+                   help="reclaim file space (keeps every entry)")
     export = sub.add_parser("export", parents=[common],
                             help="dump run metadata as JSON lines")
     export.add_argument("--output", default=None,

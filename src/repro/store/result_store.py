@@ -9,14 +9,15 @@ straight from disk instead of recomputing minutes of MILP/PTAS work.
 
 Alongside the pickled result, each row records run metadata (algorithm
 name, machine-environment tag, instance dimensions, wall time, payload
-size, timestamps).  The metadata serves three purposes:
+size, creation time).  The metadata serves two purposes:
 
 * inspection — ``python -m repro.store stats`` aggregates it without
   unpickling a single payload;
-* eviction — LRU-style eviction by total payload size (``max_bytes``)
-  and age (``max_age_s``) keeps long-running services bounded;
 * cost modelling — :class:`repro.store.cost_model.CostModel` fits
   per-algorithm runtime predictors from the recorded wall times.
+
+Nothing is evicted: the store grows until it is cleared or deleted, and
+a read never writes (a hit costs one SELECT).
 
 The store is self-healing: a corrupted file or an old on-disk schema is
 rebuilt empty rather than crashing the runner (losing a cache is cheap;
@@ -37,7 +38,7 @@ import sqlite3
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Sequence, Union
 
 from repro._version import __version__ as _REPRO_VERSION
 
@@ -48,8 +49,9 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep the package cheap
 __all__ = ["ResultStore", "StoreRecord", "SCHEMA_VERSION"]
 
 #: Bump when the row layout or the pickle payload contract changes; stores
-#: written under another version are rebuilt empty on open.
-SCHEMA_VERSION = 2
+#: written under another version are rebuilt empty on open.  Version 3
+#: dropped the per-row access time that fed LRU eviction.
+SCHEMA_VERSION = 3
 
 #: SQLite caps host parameters per statement (999 on older builds); bulk
 #: SELECTs are chunked below this.
@@ -71,11 +73,9 @@ CREATE TABLE IF NOT EXISTS results (
     wall_seconds  REAL NOT NULL,
     payload       BLOB NOT NULL,
     payload_bytes INTEGER NOT NULL,
-    created_at    REAL NOT NULL,
-    last_access   REAL NOT NULL
+    created_at    REAL NOT NULL
 );
 CREATE INDEX IF NOT EXISTS idx_results_algorithm ON results (algorithm);
-CREATE INDEX IF NOT EXISTS idx_results_last_access ON results (last_access);
 """
 
 
@@ -92,7 +92,6 @@ class StoreRecord:
     wall_seconds: float
     payload_bytes: int
     created_at: float
-    last_access: float
 
 
 #: Seconds a connection waits on another process's (or thread's) lock.
@@ -138,13 +137,6 @@ class ResultStore:
     path:
         The SQLite file; parent directories are created.  The conventional
         suffix is ``.sqlite`` (ignored by git under ``benchmarks/results/``).
-    max_bytes:
-        Soft cap on the total pickled-payload size.  When an insert pushes
-        the store over the cap, least-recently-*accessed* rows are evicted
-        until it fits again.  ``None`` disables size eviction.
-    max_age_s:
-        Rows *created* more than this many seconds ago are dropped on every
-        eviction sweep.  ``None`` disables age eviction.
 
     The store can be used as a context manager; :meth:`close` is otherwise
     the caller's responsibility.  One ``ResultStore`` instance must not be
@@ -152,14 +144,10 @@ class ResultStore:
     instead (WAL mode serialises the writers).
     """
 
-    def __init__(self, path: Union[str, Path], *,
-                 max_bytes: Optional[int] = None,
-                 max_age_s: Optional[float] = None) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.max_bytes = max_bytes
-        self.max_age_s = max_age_s
         self.stats_counters: Dict[str, int] = {
-            "gets": 0, "hits": 0, "puts": 0, "evictions": 0, "rebuilds": 0,
+            "gets": 0, "hits": 0, "puts": 0, "rebuilds": 0,
             "version_purged": 0}
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._conn = self._open_or_rebuild()
@@ -262,7 +250,7 @@ class ResultStore:
     # core API
     # ------------------------------------------------------------------
     def put(self, task: "BatchTask", result: "AlgorithmResult") -> None:
-        """Persist ``result`` under ``task.cache_key()`` and evict if needed.
+        """Persist ``result`` under ``task.cache_key()``.
 
         Failure sentinels (``meta["error"]`` / ``meta["timeout"]``) are the
         caller's responsibility to filter; the store persists whatever it is
@@ -270,20 +258,18 @@ class ResultStore:
         """
         key = task.cache_key()
         payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        now = time.time()
         inst = task.instance
         with self._conn:
             self._conn.execute(
                 "INSERT OR REPLACE INTO results (key, repro_version, algorithm,"
                 " environment, num_jobs, num_machines, num_classes, wall_seconds,"
-                " payload, payload_bytes, created_at, last_access)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                " payload, payload_bytes, created_at)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (key, _REPRO_VERSION, task.algorithm,
                  inst.environment.value, inst.num_jobs, inst.num_machines,
                  inst.num_classes, float(result.runtime_seconds), payload,
-                 len(payload), now, now))
+                 len(payload), time.time()))
         self.stats_counters["puts"] += 1
-        self.evict(now=now)
 
     def get(self, task_or_key: Union["BatchTask", str]) -> Optional["AlgorithmResult"]:
         """Fetch one result, or ``None`` on a miss (or unreadable payload)."""
@@ -299,7 +285,6 @@ class ResultStore:
         result = self._unpickle(key, row[0])
         if result is not None:
             self.stats_counters["hits"] += 1
-            self._touch([key])
         return result
 
     def contains(self, task_or_key: Union["BatchTask", str]) -> bool:
@@ -334,8 +319,6 @@ class ResultStore:
                     out[key] = result
         self.stats_counters["gets"] += len(keys)
         self.stats_counters["hits"] += len(out)
-        if out:
-            self._touch(list(out))
         return out
 
     def _unpickle(self, key: str, payload: bytes) -> Optional["AlgorithmResult"]:
@@ -347,61 +330,16 @@ class ResultStore:
                 self._conn.execute("DELETE FROM results WHERE key = ?", (key,))
             return None
 
-    def _touch(self, keys: List[str]) -> None:
-        now = time.time()
-        with self._conn:
-            for lo in range(0, len(keys), _MAX_SQL_PARAMS):
-                chunk = keys[lo:lo + _MAX_SQL_PARAMS]
-                placeholders = ",".join("?" * len(chunk))
-                self._conn.execute(
-                    f"UPDATE results SET last_access = ? WHERE key IN ({placeholders})",
-                    [now, *chunk])
-
     def _as_key(self, task_or_key: Union["BatchTask", str]) -> str:
         if isinstance(task_or_key, str):
             return task_or_key
         return task_or_key.cache_key()
 
     # ------------------------------------------------------------------
-    # eviction / maintenance
+    # maintenance
     # ------------------------------------------------------------------
-    def evict(self, *, now: Optional[float] = None) -> int:
-        """Apply the age and size policies; return the number of rows dropped.
-
-        Age first (expired rows should not count against the size budget),
-        then least-recently-accessed rows until ``max_bytes`` is respected.
-        """
-        now = time.time() if now is None else now
-        dropped = 0
-        with self._conn:
-            if self.max_age_s is not None:
-                cur = self._conn.execute(
-                    "DELETE FROM results WHERE created_at < ?",
-                    (now - self.max_age_s,))
-                dropped += cur.rowcount
-            if self.max_bytes is not None:
-                total = self._total_bytes()
-                if total > self.max_bytes:
-                    for key, size in self._conn.execute(
-                            "SELECT key, payload_bytes FROM results"
-                            " ORDER BY last_access ASC, key ASC").fetchall():
-                        self._conn.execute("DELETE FROM results WHERE key = ?",
-                                           (key,))
-                        dropped += 1
-                        total -= size
-                        if total <= self.max_bytes:
-                            break
-        self.stats_counters["evictions"] += dropped
-        return dropped
-
-    def _total_bytes(self) -> int:
-        row = self._conn.execute(
-            "SELECT COALESCE(SUM(payload_bytes), 0) FROM results").fetchone()
-        return int(row[0])
-
     def vacuum(self) -> None:
-        """Run an eviction sweep, then reclaim file space via ``VACUUM``."""
-        self.evict()
+        """Reclaim file space via ``VACUUM``."""
         self._conn.execute("VACUUM")
 
     def clear(self) -> None:
@@ -416,6 +354,11 @@ class ResultStore:
         row = self._conn.execute("SELECT COUNT(*) FROM results").fetchone()
         return int(row[0])
 
+    def _total_bytes(self) -> int:
+        row = self._conn.execute(
+            "SELECT COALESCE(SUM(payload_bytes), 0) FROM results").fetchone()
+        return int(row[0])
+
     def records(self, algorithm: Optional[str] = None) -> Iterator[StoreRecord]:
         """Iterate run metadata (no payloads), optionally for one algorithm.
 
@@ -423,8 +366,8 @@ class ResultStore:
         (key ASC) so repeated fits see identical data.
         """
         sql = ("SELECT key, algorithm, environment, num_jobs, num_machines,"
-               " num_classes, wall_seconds, payload_bytes, created_at,"
-               " last_access FROM results")
+               " num_classes, wall_seconds, payload_bytes, created_at"
+               " FROM results")
         params: tuple = ()
         if algorithm is not None:
             sql += " WHERE algorithm = ?"
@@ -450,8 +393,6 @@ class ResultStore:
             "repro_version": _REPRO_VERSION,
             "entries": len(self),
             "total_payload_bytes": self._total_bytes(),
-            "max_bytes": self.max_bytes,
-            "max_age_s": self.max_age_s,
             "per_algorithm": per_algorithm,
             "session": dict(self.stats_counters),
         }
@@ -470,7 +411,6 @@ class ResultStore:
                 "wall_seconds": record.wall_seconds,
                 "payload_bytes": record.payload_bytes,
                 "created_at": record.created_at,
-                "last_access": record.last_access,
             }, sort_keys=True))
         return "\n".join(lines)
 

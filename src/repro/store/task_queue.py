@@ -69,7 +69,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
-                    Tuple, Union)
+                    Union)
 
 from repro.store.result_store import connect_wal
 
@@ -80,10 +80,9 @@ __all__ = ["TaskQueue", "LeasedTask", "QueueRow", "QUEUE_SCHEMA_VERSION"]
 
 #: Bump when the ``task_queue`` layout changes; older queues are migrated
 #: (rows salvaged, in-flight work re-armed) on open.  Version 2 added the
-#: per-task ``budget_s`` column; version 3 added ``predicted_s`` (the raw
-#: cost-model runtime prediction, feeding cost-weighted supervisor
-#: scaling).
-QUEUE_SCHEMA_VERSION = 3
+#: per-task ``budget_s`` column; version 3 added a cost-model prediction
+#: column that version 4 dropped again.
+QUEUE_SCHEMA_VERSION = 4
 
 #: SQLite caps host parameters per statement (999 on older builds); bulk
 #: SELECTs are chunked below this (matches result_store._MAX_SQL_PARAMS).
@@ -104,7 +103,6 @@ _SCHEMA_STATEMENTS = (
     excluded_worker TEXT,
     error           TEXT,
     budget_s        REAL,
-    predicted_s     REAL,
     enqueued_at     REAL NOT NULL,
     updated_at      REAL NOT NULL
 )""",
@@ -117,12 +115,12 @@ _SCHEMA_STATEMENTS = (
 )
 
 #: The column set the current schema version expects; any drift (missing
-#: ``budget_s`` on a pre-v2 file, columns from some future layout) routes
+#: ``budget_s`` on a pre-v2 file, the prediction column of a v3 one) routes
 #: the open through the migration path.
 _EXPECTED_COLUMNS = frozenset({
     "key", "task_payload", "status", "owner", "lease_expires_at", "attempts",
-    "compute_count", "excluded_worker", "error", "budget_s", "predicted_s",
-    "enqueued_at", "updated_at"})
+    "compute_count", "excluded_worker", "error", "budget_s", "enqueued_at",
+    "updated_at"})
 
 
 @dataclass(frozen=True)
@@ -147,7 +145,6 @@ class QueueRow:
     excluded_worker: Optional[str]
     error: Optional[str]
     budget_s: Optional[float] = None
-    predicted_s: Optional[float] = None
 
 
 class TaskQueue:
@@ -318,7 +315,6 @@ class TaskQueue:
     # ------------------------------------------------------------------
     def enqueue(self, tasks: Sequence["BatchTask"], *,
                 budgets: Optional[Sequence[Optional[float]]] = None,
-                predictions: Optional[Sequence[Optional[float]]] = None,
                 now: Optional[float] = None) -> List[str]:
         """Add tasks to the queue, deduplicating by cache key.
 
@@ -333,19 +329,13 @@ class TaskQueue:
         Omitting ``budgets`` entirely leaves a re-armed failed row's
         existing budget in place (the budget describes the task, not the
         attempt — same rule as :meth:`requeue`); passing ``budgets``
-        overwrites it, ``None`` entries included.  ``predictions``
-        aligns the cost model's *raw* predicted runtime with ``tasks``
-        (seconds, ``None`` for unknown) — pure scaling advice for the
-        supervisor (:meth:`queued_work_seconds`), never enforced — and
-        follows the same overwrite rule.
+        overwrites it, ``None`` entries included.
         Returns the keys this call armed (became ``queued``); keys some
         other submitter already owns are *not* in the list, which is what
         lets a submitter later cancel only its own unclaimed work.
         """
         if budgets is not None and len(budgets) != len(tasks):
             raise ValueError("budgets must align 1:1 with tasks")
-        if predictions is not None and len(predictions) != len(tasks):
-            raise ValueError("predictions must align 1:1 with tasks")
         now = self._clock() if now is None else now
         armed: List[str] = []
         with self._conn:
@@ -353,15 +343,13 @@ class TaskQueue:
                 key = task.cache_key()
                 budget = budgets[pos] if budgets is not None else None
                 budget = float(budget) if budget is not None else None
-                predicted = predictions[pos] if predictions is not None else None
-                predicted = float(predicted) if predicted is not None else None
                 payload = pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
                 cur = self._conn.execute(
                     "INSERT OR IGNORE INTO task_queue"
-                    " (key, task_payload, status, budget_s, predicted_s,"
-                    "  enqueued_at, updated_at)"
-                    " VALUES (?, ?, 'queued', ?, ?, ?, ?)",
-                    (key, payload, budget, predicted, now, now))
+                    " (key, task_payload, status, budget_s, enqueued_at,"
+                    "  updated_at)"
+                    " VALUES (?, ?, 'queued', ?, ?, ?)",
+                    (key, payload, budget, now, now))
                 if cur.rowcount:
                     armed.append(key)
                     continue
@@ -370,11 +358,9 @@ class TaskQueue:
                     " owner = NULL, lease_expires_at = NULL, error = NULL,"
                     " excluded_worker = NULL,"
                     " budget_s = CASE WHEN ? THEN ? ELSE budget_s END,"
-                    " predicted_s = CASE WHEN ? THEN ? ELSE predicted_s END,"
                     " updated_at = ?"
                     " WHERE key = ? AND status = 'failed'",
-                    (1 if budgets is not None else 0, budget,
-                     1 if predictions is not None else 0, predicted, now, key))
+                    (1 if budgets is not None else 0, budget, now, key))
                 if cur.rowcount:
                     armed.append(key)
         return armed
@@ -384,8 +370,8 @@ class TaskQueue:
         """Re-arm finished rows (``done`` or ``failed``) to ``queued``.
 
         The escape hatch for a ``done`` row whose published result has
-        since vanished from the result store (size/age eviction, or the
-        version purge on a ``repro`` upgrade): without it the row would
+        since vanished from the result store (the version purge on a
+        ``repro`` upgrade, a cleared or rebuilt store): without it the row would
         block re-submission forever — nothing claimable, nothing stored.
         Resets the attempt budget (the wall-clock ``budget_s`` is kept —
         it describes the task, not the attempt); in-flight
@@ -545,8 +531,7 @@ class TaskQueue:
     def rows(self, keys: Optional[Sequence[str]] = None) -> List[QueueRow]:
         """Queue-state snapshots, for ``keys`` or the whole table."""
         sql = ("SELECT key, status, owner, attempts, compute_count,"
-               " excluded_worker, error, budget_s, predicted_s"
-               " FROM task_queue")
+               " excluded_worker, error, budget_s FROM task_queue")
         out: List[QueueRow] = []
         if keys is None:
             for row in self._conn.execute(sql + " ORDER BY key ASC"):
@@ -568,21 +553,6 @@ class TaskQueue:
                 "SELECT status, COUNT(*) FROM task_queue GROUP BY status"):
             counts[status] = int(count)
         return counts
-
-    def queued_work_seconds(self, *, default_s: float = 0.0) -> Tuple[int, float]:
-        """``(queued rows, estimated seconds of queued work)``.
-
-        Sums the cost-model ``predicted_s`` stamped on ``queued`` rows;
-        rows without a prediction count as ``default_s`` each.  This is
-        the supervisor's cost-weighted scaling signal: spawn workers for
-        *work*, not for rows — ten milliseconds-sized tasks are one
-        worker's next second, not ten forks.
-        """
-        row = self._conn.execute(
-            "SELECT COUNT(*), COALESCE(SUM(COALESCE(predicted_s, ?)), 0)"
-            " FROM task_queue WHERE status = 'queued'",
-            (float(default_s),)).fetchone()
-        return int(row[0]), float(row[1])
 
     def outstanding(self) -> int:
         """Rows still in flight (``queued`` or ``leased``)."""

@@ -197,7 +197,7 @@ class TestQueueBackendSpecifics:
         assert runner.store.stats_counters["puts"] == 3
 
     def test_orphaned_done_rows_are_recomputed(self, tmp_path):
-        """A 'done' queue row whose store result vanished (eviction,
+        """A 'done' queue row whose store result vanished (cleared store,
         version purge) must be requeued and recomputed, not waited on
         forever."""
         store_path = tmp_path / "orphan.sqlite"
@@ -205,7 +205,7 @@ class TestQueueBackendSpecifics:
                      for s in range(2)]
         first = make_runner("queue", tmp_path, store=store_path)
         first.run(["class-aware-greedy"], instances)
-        first.store.clear()  # simulate eviction / version purge
+        first.store.clear()  # simulate a version purge
         fresh = make_runner("queue", tmp_path, store=store_path)
         batch = fresh.run(["class-aware-greedy"], instances)
         assert not batch.failures()

@@ -115,7 +115,8 @@ class TestQueueBasics:
 
     def test_requeue_rearms_done_rows(self, tmp_path):
         """The orphaned-result escape hatch: a done row whose store result
-        vanished (eviction, version purge) can be re-armed for recompute."""
+        vanished (cleared store, version purge) can be re-armed for
+        recompute."""
         task = _task()
         with TaskQueue(tmp_path / "q.sqlite") as queue:
             queue.enqueue([task])
@@ -201,7 +202,7 @@ class TestBudgets:
 
     def test_requeue_keeps_the_budget(self, tmp_path):
         """The budget describes the task, not the attempt: a re-armed done
-        row (store-evicted result) is recomputed under the same budget."""
+        row (its store result gone) is recomputed under the same budget."""
         task = _task()
         with TaskQueue(tmp_path / "b.sqlite") as queue:
             queue.enqueue([task], budgets=[4.0])
@@ -620,16 +621,19 @@ class TestSchemaMigration:
             assert row.status == "queued" and row.budget_s is None
             assert queue.lease("w1") is not None
 
-    def test_v2_budget_queue_migrates_to_v3(self, tmp_path):
-        """A version-2 file (budget_s but no predicted_s) self-heals:
-        done rows keep their compute history, queued work re-arms, and
-        the new column exists afterwards."""
-        path = tmp_path / "v2.sqlite"
+    @pytest.mark.parametrize("version", ["v2", "v3"])
+    def test_budget_queue_migrates_to_current(self, tmp_path, version):
+        """A version-2 file (budget_s only) and a version-3 file (plus the
+        dropped prediction column) self-heal: done rows keep their
+        compute history and queued work re-arms."""
+        path = tmp_path / f"{version}.sqlite"
         queued, done = _task(seed=10), _task(seed=11)
         with ResultStore(path) as store:
             store.put(done, _result_for(done))
+        predicted_column = ("predicted_s     REAL,"
+                            if version == "v3" else "")
         conn = sqlite3.connect(str(path))
-        conn.executescript("""
+        conn.executescript(f"""
         CREATE TABLE task_queue (
             key             TEXT PRIMARY KEY,
             task_payload    BLOB NOT NULL,
@@ -641,12 +645,14 @@ class TestSchemaMigration:
             excluded_worker TEXT,
             error           TEXT,
             budget_s        REAL,
+            {predicted_column}
             enqueued_at     REAL NOT NULL,
             updated_at      REAL NOT NULL
         );
         CREATE TABLE task_queue_meta (key TEXT PRIMARY KEY,
                                       value TEXT NOT NULL);
-        INSERT INTO task_queue_meta VALUES ('queue_schema_version', '2');
+        INSERT INTO task_queue_meta
+            VALUES ('queue_schema_version', '{version[1:]}');
         """)
         conn.executemany(
             "INSERT INTO task_queue (key, task_payload, status, budget_s,"
@@ -660,46 +666,6 @@ class TestSchemaMigration:
             assert queue.migrated
             by_key = {r.key: r for r in queue.rows()}
             assert by_key[queued.cache_key()].status == "queued"
-            assert by_key[queued.cache_key()].predicted_s is None
             assert by_key[done.cache_key()].compute_count == 1
-            # The new column is live: predictions persist post-migration.
-            queue.enqueue([_task(seed=12)], predictions=[0.25])
         with TaskQueue(path) as queue:
             assert not queue.migrated
-            (fresh,) = [r for r in queue.rows()
-                        if r.key == _task(seed=12).cache_key()]
-            assert fresh.predicted_s == 0.25
-
-
-class TestPredictions:
-    """``predicted_s`` rides the rows as pure scaling advice."""
-
-    def test_predictions_persist_and_feed_queued_work(self, tmp_path):
-        path = tmp_path / "pred.sqlite"
-        tasks = [_task(seed=s) for s in range(3)]
-        with TaskQueue(path) as queue:
-            queue.enqueue(tasks, predictions=[0.5, None, 2.0])
-            rows = {r.key: r for r in queue.rows([t.cache_key()
-                                                  for t in tasks])}
-            assert rows[tasks[0].cache_key()].predicted_s == 0.5
-            assert rows[tasks[1].cache_key()].predicted_s is None
-            assert rows[tasks[2].cache_key()].predicted_s == 2.0
-            count, work = queue.queued_work_seconds(default_s=10.0)
-            assert count == 3
-            assert work == pytest.approx(0.5 + 10.0 + 2.0)
-
-    def test_leased_rows_leave_the_queued_work_estimate(self, tmp_path):
-        path = tmp_path / "pred_lease.sqlite"
-        tasks = [_task(seed=s) for s in range(2)]
-        with TaskQueue(path) as queue:
-            queue.enqueue(tasks, predictions=[1.0, 3.0])
-            leased = queue.lease("w1")
-            assert leased is not None
-            count, work = queue.queued_work_seconds()
-            assert count == 1
-            assert work in (1.0, 3.0)  # whichever row is still queued
-
-    def test_predictions_must_align_with_tasks(self, tmp_path):
-        with TaskQueue(tmp_path / "align.sqlite") as queue:
-            with pytest.raises(ValueError, match="predictions"):
-                queue.enqueue([_task()], predictions=[1.0, 2.0])

@@ -27,7 +27,11 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.algorithms.base import AlgorithmResult
-from repro.algorithms.unrelated.lp_relaxation import LPRelaxationResult, solve_ilp_um_relaxation
+from repro.algorithms.unrelated.lp_relaxation import (
+    LPRelaxationResult,
+    memoized_relaxation,
+    solve_ilp_um_relaxation,
+)
 from repro.core.bounds import makespan_bounds
 from repro.core.dual import dual_approximation_search
 from repro.core.instance import Instance
@@ -173,15 +177,24 @@ def randomized_rounding_approximation(
     randomized rounding produces a schedule.  ``restarts`` independent
     roundings are performed per accepted guess and the best one kept (pure
     variance reduction; the guarantee needs only one).
+
+    The search solves one LP per distinct column set, not one per guess:
+    ``T`` is a minimised column of ILP-UM, so a guess changes the program
+    only through constraint (5)'s filter, and guesses that keep the same
+    pairs hand the solver identical arrays (see
+    :func:`~repro.algorithms.unrelated.lp_relaxation.memoized_relaxation`).
+    Results, random draws and ``rounding_stats`` equal those of a fresh
+    solve per guess.
     """
     start = time.perf_counter()
     inst = instance
     rng = ensure_rng(seed)
     bounds = makespan_bounds(inst)
     stats_log: List[RoundingStats] = []
+    relaxation = memoized_relaxation(inst)
 
     def decision(guess: float) -> Optional[Schedule]:
-        relax = solve_ilp_um_relaxation(inst, guess)
+        relax = relaxation(guess)
         if not relax.feasible:
             return None
         best: Optional[Schedule] = None

@@ -11,12 +11,16 @@ every ``x_ij`` with ``p_ij`` and every ``y_ik`` with ``s_ik`` above it.
 Rows: the load rows (1) ``Σ_j p_ij x_ij + Σ_k s_ik y_ik - T ≤ 0`` of every
 machine with a column, then the coupling rows (4) ``x_ij - y_{i,k_j} ≤ 0``
 in column order; equality rows (2) ``Σ_i x_ij = 1`` per job.
+
+``T`` is a minimised column, so a guess enters the program only through
+constraint (5)'s column set.  :func:`column_set_key` names that set, so a
+caller solving many guesses can solve each distinct program once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
@@ -24,7 +28,7 @@ from scipy import sparse
 from repro.core.instance import Instance
 from repro.lp import Solution, solve
 
-__all__ = ["ILPUM", "build_ilp_um", "gather"]
+__all__ = ["ILPUM", "build_ilp_um", "column_set_key", "gather"]
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,24 @@ def build_ilp_um(instance: Instance, guess: Optional[float] = None, *,
     upper[0] = np.inf
     return ILPUM(c=c, a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), a_eq=a_eq,
                  b_eq=np.ones(num_jobs), upper=upper, x_col=x_col, y_col=y_col)
+
+
+def column_set_key(instance: Instance, *, tolerance: float = 0.0) -> Callable[[float], int]:
+    """A function naming the column set :func:`build_ilp_um` keeps for a guess.
+
+    The key of ``guess`` is the number of distinct finite ``p_ij`` and
+    ``s_ik`` at most ``guess + tolerance``, the limit constraint (5) filters
+    by.  Two guesses with the same key keep the same pairs, so
+    ``build_ilp_um`` returns the same arrays (``None`` for both, or a program
+    the solver cannot tell apart).  The breakpoints are sorted once here.
+    """
+    values = np.concatenate([instance.processing.ravel(), instance.setups.ravel()])
+    breakpoints = np.unique(values[np.isfinite(values)])
+
+    def key(guess: float) -> int:
+        return int(np.searchsorted(breakpoints, guess + tolerance, side="right"))
+
+    return key
 
 
 def gather(cols: np.ndarray, values: np.ndarray, fill: float = 0.0) -> np.ndarray:

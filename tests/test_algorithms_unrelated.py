@@ -12,8 +12,12 @@ from repro.algorithms.unrelated import (
     solve_ilp_um_relaxation,
     theoretical_ratio_bound,
 )
+from repro.algorithms.unrelated.lp_relaxation import memoized_relaxation
 from repro.algorithms.unrelated.lp_rounding import RoundingStats
-from repro.core.bounds import lp_lower_bound
+from repro.core import ilp_um
+from repro.core.bounds import lp_lower_bound, makespan_bounds
+from repro.core.dual import dual_approximation_search
+from repro.core.ilp_um import build_ilp_um, column_set_key
 from repro.generators import unrelated_instance
 
 
@@ -48,12 +52,18 @@ class TestLPRelaxation:
                 assert relax.x[i, j] <= relax.y[i, k] + 1e-6
 
     def test_constraint5_filters_large_jobs(self):
-        inst = unrelated_instance(8, 3, 2, seed=5, processing_range=(10.0, 100.0))
-        guess = 15.0
-        relax = solve_ilp_um_relaxation(inst, guess)
-        if relax.feasible:
-            filtered = inst.processing > guess
-            assert np.all(relax.x[filtered] == 0.0)
+        inst = unrelated_instance(8, 3, 2, seed=5, processing_range=(10.0, 100.0),
+                                  setup_range=(1.0, 5.0))
+        # The largest per-job fastest time (every setup lies below it): every
+        # job keeps a column, yet some pairs are filtered, so the filtered LP
+        # is built and solved.
+        guess = float(np.max(np.min(inst.processing, axis=0)))
+        tolerance = 1e-6
+        filtered = inst.processing > guess + tolerance
+        assert filtered.any()
+        relax = solve_ilp_um_relaxation(inst, guess, tolerance=tolerance)
+        assert np.isfinite(relax.fractional_makespan)
+        assert np.all(relax.x[filtered] == 0.0)
 
     def test_loads_within_guess_when_feasible(self):
         inst = unrelated_instance(12, 4, 3, seed=6)
@@ -70,6 +80,71 @@ class TestLPRelaxation:
         dist = relax.job_distribution(0)
         assert dist.shape == (3,)
         assert dist.sum() == pytest.approx(1.0, abs=1e-6)
+
+
+class TestMemoizedRelaxation:
+    @staticmethod
+    def _count_solves(monkeypatch):
+        calls = []
+        real = ilp_um.solve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ilp_um, "solve", counting)
+        return calls
+
+    def test_equals_fresh_solves_with_one_solve_per_column_set(self, monkeypatch):
+        inst = unrelated_instance(12, 6, 3, seed=11)
+        search = dual_approximation_search(
+            inst, lambda g: randomized_rounding_decision(inst, g, seed=0), precision=0.05)
+        guesses = [guess for guess, _, _ in search.history]
+        # Pairs on either side of breakpoints inside the bracket.
+        key = column_set_key(inst, tolerance=1e-6)
+        values = np.unique(np.concatenate([inst.processing.ravel(), inst.setups.ravel()]))
+        inside = values[(values > search.bounds.lower) & (values < search.bounds.upper)]
+        assert inside.size >= 2
+        for b in inside[:3]:
+            below, above = b * (1 - 1e-4), b * (1 + 1e-4)
+            assert key(below) < key(above)
+            guesses += [below, above, b]
+        guesses += guesses[:3]  # repeats of early guesses come from the memo
+        guesses += [0.1 * search.bounds.lower] * 2  # infeasible outright
+        calls = self._count_solves(monkeypatch)
+        relaxation = memoized_relaxation(inst)
+        memoized = [relaxation(g) for g in guesses]
+        built = {key(g) for g in guesses if build_ilp_um(inst, g, tolerance=1e-6) is not None}
+        assert len(calls) == len(built)
+        assert len(built) < len({key(g) for g in guesses}) < len(guesses)
+        for guess, got in zip(guesses, memoized):
+            fresh = solve_ilp_um_relaxation(inst, guess)
+            assert got.guess == fresh.guess == float(guess)
+            assert got.feasible == fresh.feasible
+            assert got.fractional_makespan == fresh.fractional_makespan
+            assert np.array_equal(got.x, fresh.x)
+            assert np.array_equal(got.y, fresh.y)
+
+    def test_constant_column_set_solves_one_lp(self, monkeypatch):
+        # Every p_ij and s_ik lies below the lower bound, so every guess of
+        # the search keeps all pairs.
+        inst = unrelated_instance(30, 2, 2, seed=12, processing_range=(1.0, 3.0),
+                                  setup_range=(1.0, 2.0))
+        calls = self._count_solves(monkeypatch)
+        result = randomized_rounding_approximation(inst, seed=0)
+        assert result.meta["search_iterations"] > 1
+        assert len(calls) == 1
+
+    def test_shared_arrays_are_read_only(self):
+        inst = unrelated_instance(8, 3, 2, seed=13)
+        relaxation = memoized_relaxation(inst)
+        guess = makespan_bounds(inst).upper
+        first, second = relaxation(guess), relaxation(guess)
+        assert first.feasible and second.x is first.x and second.y is first.y
+        for relax in (first, second, solve_ilp_um_relaxation(inst, guess)):
+            for values in (relax.x, relax.y):
+                with pytest.raises(ValueError):
+                    values[0, 0] = 1.0
 
 
 class TestTheoreticalBound:

@@ -100,7 +100,10 @@ class ExecutionBackend:
       ``meta["timeout"]``), never exceptions;
     * closing the returned generator early (consumer ``break``) must
       promptly abandon outstanding work — no hanging on stuck tasks, no
-      leaked worker processes, no unclaimed queue rows.
+      leaked worker processes, no unclaimed queue rows.  The queue
+      backend cancels the batch's unclaimed rows; its autoscaled fleet
+      outlives the batch and retires once idle past the supervisor's
+      grace period, or on :meth:`close`.
     """
 
     #: Registry name (``BatchRunner(backend="<name>")``).
@@ -119,6 +122,9 @@ class ExecutionBackend:
                ) -> Iterator[Tuple[int, "AlgorithmResult"]]:
         """Execute ``tasks``, yielding ``(index into tasks, result)``."""
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release processes the backend keeps across batches (none here)."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

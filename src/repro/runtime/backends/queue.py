@@ -20,12 +20,22 @@ execution with queue bookkeeping, and with workers attached it becomes one
 more drain loop among them.  ``inline=False`` makes the submitter a pure
 coordinator (used by the F4 benchmark to prove external workers carry the
 whole load).
+
+An autoscaled backend owns one supervisor subprocess for its lifetime,
+not per batch: the first :meth:`QueueBackend.submit` spawns it, later
+batches reuse it while it runs, and one that has exited (its fleet idled
+past the grace period, or it died) is replaced by the next submit.
+:meth:`QueueBackend.close` — or, failing that, garbage collection or
+interpreter exit — terminates it.
 """
 
 from __future__ import annotations
 
 import os
+import subprocess
 import time
+import weakref
+from pathlib import Path
 from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -92,6 +102,18 @@ def process_lease(store: "ResultStore", queue: TaskQueue, leased: LeasedTask,
     return ("failed", message, elapsed)
 
 
+def _terminate(proc: subprocess.Popen) -> None:
+    """Stop and reap a supervisor subprocess (a no-op once it has exited)."""
+    if proc.poll() is not None:
+        return
+    proc.terminate()
+    try:
+        proc.wait(timeout=30)
+    except subprocess.TimeoutExpired:  # pragma: no cover - last resort
+        proc.kill()
+        proc.wait(timeout=10)  # reap: no zombie child
+
+
 class QueueBackend(ExecutionBackend):
     """Submit cold tasks to the shared SQLite work queue and await results.
 
@@ -117,12 +139,14 @@ class QueueBackend(ExecutionBackend):
         ``inline-<pid>``); shows up in queue rows it computes.
     autoscale:
         Close the loop to "as fast as the hardware allows": a positive
-        worker count (or ``True`` for the usable-CPU count) makes every
-        :meth:`submit` spawn a ``python -m repro.runtime.supervisor``
+        worker count (or ``True`` for the usable-CPU count) makes the
+        backend run a ``python -m repro.runtime.supervisor``
         subprocess that watches the queue and manages a worker fleet of
-        up to that many processes for the duration of the batch — one
-        knob replaces starting workers by hand.  ``None`` (the default)
-        or ``0`` disables autoscaling.
+        up to that many processes — one knob replaces starting workers by
+        hand.  The fleet stays warm across batches: it retires itself
+        once the queue has idled past the supervisor's grace period, and
+        :meth:`close` stops it.  ``None`` (the default) or ``0`` disables
+        autoscaling.
     budget_factor / min_budget_s:
         Policy for the per-task ``budget_s`` stamped on enqueued rows.
         With the runner's ``timeout`` set, that value is the budget for
@@ -156,6 +180,34 @@ class QueueBackend(ExecutionBackend):
         self.autoscale = max(0, int(autoscale or 0))
         self.budget_factor = float(budget_factor)
         self.min_budget_s = float(min_budget_s)
+        self._supervisor: Optional[subprocess.Popen] = None
+        self._supervisor_path: Optional[Path] = None
+        self._stop_supervisor: Optional[weakref.finalize] = None
+
+    def _ensure_supervisor(self, store_path: Path) -> subprocess.Popen:
+        """The running supervisor for ``store_path``, spawning one if the
+        last has exited (or watches another store file)."""
+        proc = self._supervisor
+        if (proc is None or proc.poll() is not None
+                or self._supervisor_path != store_path):
+            from repro.runtime.supervisor import spawn_supervisor
+            self.close()
+            proc = spawn_supervisor(store_path, max_workers=self.autoscale,
+                                    lease_s=self.lease_s)
+            self._supervisor, self._supervisor_path = proc, store_path
+            # Not a bound method: the guard must not keep the backend alive.
+            self._stop_supervisor = weakref.finalize(self, _terminate, proc)
+        return proc
+
+    def close(self) -> None:
+        """Terminate and reap the autoscaled supervisor, if one runs.
+
+        Its SIGTERM handler reaps the workers first.  The backend stays
+        usable: the next :meth:`submit` spawns a fresh supervisor.
+        """
+        if self._stop_supervisor is not None:
+            self._stop_supervisor()
+        self._supervisor = self._supervisor_path = self._stop_supervisor = None
 
     def _budget_for(self, task: "BatchTask") -> Optional[float]:
         """The ``budget_s`` to stamp on this task's queue row.
@@ -197,10 +249,7 @@ class QueueBackend(ExecutionBackend):
             armed = set(queue.enqueue(
                 first, budgets=[budget_by_key[t.cache_key()] for t in first]))
             if self.autoscale > 0:
-                from repro.runtime.supervisor import spawn_supervisor
-                supervisor = spawn_supervisor(store.path,
-                                              max_workers=self.autoscale,
-                                              lease_s=self.lease_s)
+                supervisor = self._ensure_supervisor(store.path)
             last_progress = time.monotonic()
             while unresolved:
                 progressed = False
@@ -284,13 +333,12 @@ class QueueBackend(ExecutionBackend):
                             f"{len(unresolved)} key(s) outstanding "
                             f"(see its log on stderr)")
                     if rc == 0 and queue.outstanding() > 0:
-                        # It drained and exited — but work re-armed *after*
-                        # that (a vanished-result done-row requeue, a
-                        # vanished-key re-enqueue above) still needs a fleet.
-                        from repro.runtime.supervisor import spawn_supervisor
-                        supervisor = spawn_supervisor(
-                            store.path, max_workers=self.autoscale,
-                            lease_s=self.lease_s)
+                        # It drained and exited — between batches as its
+                        # idle fleet retired, or before work re-armed
+                        # above (a vanished-result done-row requeue, a
+                        # vanished-key re-enqueue) — and the rest of this
+                        # batch still needs a fleet.
+                        supervisor = self._ensure_supervisor(store.path)
                 if (self.stall_timeout_s is not None
                         and time.monotonic() - last_progress > self.stall_timeout_s):
                     raise RuntimeError(
@@ -303,20 +351,11 @@ class QueueBackend(ExecutionBackend):
             # batch must not linger for workers to burn cycles on — but
             # only rows *this* submitter armed; a key another submitter
             # enqueued first is their batch's lifeline, not ours to drop.
+            # The fleet itself stays up for the next batch.
             leftovers = [key for key in unresolved if key in armed]
             if leftovers:
                 queue.cancel_queued(leftovers)
             queue.close()
-            if supervisor is not None:
-                # The supervisor exits by itself once the queue drains; a
-                # batch abandoned early still must not leak the fleet.
-                # SIGTERM is handled there: its workers are reaped first.
-                supervisor.terminate()
-                try:
-                    supervisor.wait(timeout=30)
-                except Exception:  # pragma: no cover - last resort
-                    supervisor.kill()
-                    supervisor.wait(timeout=10)  # reap: no zombie child
 
     # ------------------------------------------------------------------
     # inline drain
@@ -349,6 +388,9 @@ class QueueBackend(ExecutionBackend):
             runner.stats["timeouts"] += 1
             result = runner._sentinel(task, timeout=True)
         elif outcome == "computed":
+            # The leased task was unpickled from the queue row; share the
+            # caller's equal instance instead of keeping that copy alive.
+            payload.schedule.instance = task.instance
             result = runner._finalise(task, "ok", payload)
         else:  # "failed": the captured error message travelled back
             result = runner._finalise(task, "error", (payload, None))

@@ -68,9 +68,13 @@ def reset_runner_pool(*, close_stores: bool = True) -> None:
     """Drop every pooled runner (and close shared store handles).
 
     A test/embedding hook: production code never needs it — the pool is
-    the point.  Runners handed out earlier keep working; they just stop
+    the point.  Each pooled runner's backend is closed, which stops an
+    autoscaled queue fleet; runners handed out earlier keep working (a
+    queue backend spawns a new fleet on its next batch), they just stop
     being the ones future ``get_runner`` calls return.
     """
+    for runner in _RUNNERS.values():
+        runner.backend.close()
     if close_stores:
         for store in _SHARED_STORES.values():
             store.close()

@@ -34,7 +34,10 @@ regardless — the supervisor only restores fleet capacity.
 Submitters normally do not run this by hand:
 ``BatchRunner(backend="queue", backend_options={"autoscale": N})`` — or
 ``Session(backend="queue", autoscale=N)`` / ``REPRO_AUTOSCALE=N`` —
-spawns a supervisor around every batch (see :func:`spawn_supervisor`).
+spawns one supervisor on its first batch and keeps it for later ones
+(see :func:`spawn_supervisor`).  Between batches the idle grace period
+keeps the fleet warm; past it, the fleet retires, the supervisor exits,
+and the backend's next batch spawns a new one.
 """
 
 from __future__ import annotations
@@ -381,10 +384,10 @@ def spawn_supervisor(store_path: Union[str, Path], *, max_workers: int,
     """Start ``python -m repro.runtime.supervisor`` as a subprocess.
 
     The submitter-facing entry point behind
-    ``QueueBackend(autoscale=N)``: the supervisor
-    exits on its own once the queue drains; callers terminate it early
-    only to abandon a batch (SIGTERM is handled — workers are reaped
-    before it dies).
+    ``QueueBackend(autoscale=N)``: the supervisor exits on its own once
+    the queue has drained and its fleet idled past the grace period; the
+    backend terminates it on ``close()`` (SIGTERM is handled — workers
+    are reaped before it dies).
     """
     cmd = [sys.executable, "-m", "repro.runtime.supervisor",
            "--store", str(store_path), "--max-workers", str(max_workers),

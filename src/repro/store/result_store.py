@@ -272,7 +272,11 @@ class ResultStore:
         self.stats_counters["puts"] += 1
 
     def get(self, task_or_key: Union["BatchTask", str]) -> Optional["AlgorithmResult"]:
-        """Fetch one result, or ``None`` on a miss (or unreadable payload)."""
+        """Fetch one result, or ``None`` on a miss (or unreadable payload).
+
+        Given a task, the result's schedule is bound to ``task.instance``
+        (see :meth:`prefetch`).
+        """
         key = self._as_key(task_or_key)
         self.stats_counters["gets"] += 1
         try:
@@ -285,6 +289,8 @@ class ResultStore:
         result = self._unpickle(key, row[0])
         if result is not None:
             self.stats_counters["hits"] += 1
+            if not isinstance(task_or_key, str):
+                result.schedule.instance = task_or_key.instance
         return result
 
     def contains(self, task_or_key: Union["BatchTask", str]) -> bool:
@@ -301,8 +307,14 @@ class ResultStore:
         Returns ``{cache_key: result}`` for the warm subset.  One chunked
         SELECT replaces ``len(tasks)`` point lookups, which matters when a
         sweep re-submits a multi-thousand-task grid.
+
+        Each result's schedule is bound to the caller's ``task.instance``
+        instead of the copy unpickled with it.  The key includes the
+        instance fingerprint, so the two are equal, and a caller caching
+        many results holds each instance once.
         """
         keys = [task.cache_key() for task in tasks]
+        instances = dict(zip(keys, (task.instance for task in tasks)))
         out: Dict[str, "AlgorithmResult"] = {}
         for lo in range(0, len(keys), _MAX_SQL_PARAMS):
             chunk = keys[lo:lo + _MAX_SQL_PARAMS]
@@ -316,6 +328,7 @@ class ResultStore:
             for key, payload in rows:
                 result = self._unpickle(key, payload)
                 if result is not None:
+                    result.schedule.instance = instances[key]
                     out[key] = result
         self.stats_counters["gets"] += len(keys)
         self.stats_counters["hits"] += len(out)

@@ -58,6 +58,20 @@ class TestStoreBasics:
             warm = store.prefetch(tasks)
         assert set(warm) == {t.cache_key() for t in tasks[:2]}
 
+    def test_reads_bind_the_callers_instance(self, tmp_path):
+        """A result read back shares the caller's instance instead of the
+        copy pickled with it, and its makespan still recomputes."""
+        task = _task(seed=7)
+        stored = _result_for(task)
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            store.put(task, stored)
+            warm = store.prefetch([task])[task.cache_key()]
+            fetched = store.get(task)
+        for result in (warm, fetched):
+            assert result.schedule.instance is task.instance
+            assert result.schedule.makespan() == stored.makespan
+            assert result.makespan == stored.makespan
+
     def test_hits_write_nothing(self, tmp_path):
         """A store hit is one SELECT: no commit reaches the file."""
         path = tmp_path / "s.sqlite"

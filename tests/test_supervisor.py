@@ -11,7 +11,9 @@ Three layers, matching the design split:
 * ``TestSupervisorSmoke`` / ``TestSupervisorSoak`` — the real mechanism:
   subprocess fleets over a shared store file, the soak (slow lane) under
   injected crashes and stalls with a fleet capped at 2 (CI runs on one
-  CPU).
+  CPU);
+* ``TestWarmFleet`` — an autoscaled backend's supervisor outlives a
+  batch, is replaced when it dies, and stops with the runner pool.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.experiments import result_digest
+from repro.api import Session
 from repro.generators import uniform_instance
-from repro.runtime import BatchRunner, BatchTask, Supervisor, SupervisorPolicy
+from repro.runtime import (BatchRunner, BatchTask, Supervisor,
+                           SupervisorPolicy, pool)
 from repro.runtime.backends.queue import QueueBackend
 from repro.store import ResultStore, TaskQueue
 from repro.testing import FakeClock
@@ -296,6 +300,7 @@ class TestSupervisorSmoke:
                                               "autoscale": 1})
         with pytest.raises(RuntimeError, match="supervisor exited rc=3"):
             runner.run_tasks(_tasks(2, seed0=80))
+        runner.backend.close()
         runner.store.close()
 
     def test_autoscale_replaces_manual_workers_entirely(self, tmp_path):
@@ -311,6 +316,7 @@ class TestSupervisorSmoke:
                                               "stall_timeout_s": 120.0,
                                               "autoscale": 1})
         batch = runner.run_tasks(tasks).raise_for_failures()
+        runner.backend.close()
         runner.store.close()
         assert len(batch.results) == len(tasks)
         with TaskQueue(path) as queue:
@@ -321,6 +327,74 @@ class TestSupervisorSmoke:
             for row in queue.rows([t.cache_key() for t in tasks]):
                 assert row.owner.startswith("sup-")
                 assert row.budget_s == 60.0
+
+
+class TestWarmFleet:
+    """An autoscaled backend keeps one supervisor across batches."""
+
+    @pytest.fixture
+    def spawns(self, monkeypatch):
+        """Every supervisor ``Popen`` the queue backend starts, in order."""
+        import repro.runtime.supervisor as supervisor_mod
+
+        procs = []
+        real_spawn = supervisor_mod.spawn_supervisor
+
+        def counting_spawn(*args, **kwargs):
+            procs.append(real_spawn(*args, **kwargs))
+            return procs[-1]
+
+        monkeypatch.setattr(supervisor_mod, "spawn_supervisor",
+                            counting_spawn)
+        monkeypatch.setattr(pool, "_RUNNERS", {})
+        monkeypatch.setattr(pool, "_SHARED_STORES", {})
+        yield procs
+        pool.reset_runner_pool()
+
+    @staticmethod
+    def _session(path):
+        return Session(store_path=str(path), backend="queue", autoscale=1,
+                       backend_options={"inline": False, "poll_s": 0.02,
+                                        "stall_timeout_s": 120.0})
+
+    def test_back_to_back_batches_share_one_supervisor(self, tmp_path,
+                                                       spawns):
+        path = tmp_path / "warm.sqlite"
+        batches = [_tasks(2, seed0=300), _tasks(2, seed0=310)]
+        runner = self._session(path).runner()
+        results = [runner.run_tasks(batch).raise_for_failures().results
+                   for batch in batches]
+        assert len(spawns) == 1
+        assert spawns[0].poll() is None  # still warm for a third batch
+
+        serial = BatchRunner(max_workers=1, backend="serial", cache=False)
+        for batch, got in zip(batches, results):
+            want = serial.run_tasks(batch).raise_for_failures().results
+            assert result_digest(got) == result_digest(want)
+        keys = [t.cache_key() for batch in batches for t in batch]
+        with TaskQueue(path) as queue:
+            assert set(queue.compute_counts(keys).values()) == {1}
+
+    def test_killed_supervisor_is_replaced_at_the_next_submit(self, tmp_path,
+                                                              spawns):
+        path = tmp_path / "killed.sqlite"
+        runner = self._session(path).runner()
+        runner.run_tasks(_tasks(2, seed0=320)).raise_for_failures()
+        # SIGTERM, so the dead supervisor reaps its workers first and the
+        # test leaves no orphan behind; its nonzero rc would fail the
+        # batch if the submit did not replace it.
+        spawns[0].terminate()
+        assert spawns[0].wait(timeout=30) != 0
+        batch = runner.run_tasks(_tasks(2, seed0=330)).raise_for_failures()
+        assert len(batch.results) == 2
+        assert len(spawns) == 2
+
+    def test_reset_runner_pool_stops_the_fleet(self, tmp_path, spawns):
+        runner = self._session(tmp_path / "reset.sqlite").runner()
+        runner.run_tasks(_tasks(1, seed0=340)).raise_for_failures()
+        assert spawns[0].returncode is None
+        pool.reset_runner_pool()
+        assert spawns[0].returncode is not None
 
 
 @pytest.mark.slow

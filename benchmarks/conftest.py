@@ -1,13 +1,12 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark module regenerates one experiment of DESIGN.md's experiment
-index (E1–E9, F1) through :mod:`repro.analysis.experiments` and prints the
-resulting table, so running
+Every benchmark module regenerates one experiment (E1–E9, F1) of
+:mod:`repro.analysis.experiments` and prints the resulting table, so running
 
     pytest benchmarks/ --benchmark-only
 
-reproduces the full empirical evaluation recorded in EXPERIMENTS.md (at the
-"quick" scale; pass ``--scale=full`` for the larger sweeps).
+reproduces the full empirical evaluation (at the "quick" scale; pass
+``--scale=full`` for the larger sweeps).
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ def scale(request) -> str:
 def run_and_print(experiment_id: str, scale: str):
     """Run one experiment, print its table, persist it, and return it.
 
-    The rendered table is also written to ``benchmarks/results/<id>.txt`` so
-    that the numbers quoted in EXPERIMENTS.md can be regenerated and diffed.
+    The rendered table is also written to
+    ``benchmarks/results/<ID>_<scale>.txt`` so that two runs can be diffed.
     The shared experiment runner is given a persistent result store under
     ``benchmarks/results/`` (gitignored), so re-running the harness reuses
     every algorithm result computed by earlier invocations — across

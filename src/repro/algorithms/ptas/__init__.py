@@ -14,8 +14,8 @@ The pipeline follows the paper's roadmap (Section 2.1):
    makespan guess.  The paper uses a dynamic program with
    ``(nmK)^{poly(1/ε)}`` states; we keep its group-by-group structure but
    assign big objects within each group by best-fit-decreasing with an
-   exact branch-and-bound escalation on small groups (see DESIGN.md,
-   "Substitutions").
+   exact branch-and-bound escalation on small groups (the module docstring
+   discusses what this substitution changes).
 5. :mod:`repro.algorithms.ptas.convert` — the constructive conversion of a
    relaxed schedule into a regular schedule (proof of Lemma 2.8).
 6. :mod:`repro.algorithms.ptas.driver` — the dual-approximation wrapper

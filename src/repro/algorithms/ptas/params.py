@@ -31,7 +31,7 @@ class PTASParams:
         Per speed group, the maximum number of big objects for which the
         exact branch-and-bound assignment is attempted before falling back
         to best-fit-decreasing (the engineering substitution for the
-        paper's DP; see DESIGN.md).
+        paper's DP; see :mod:`repro.algorithms.ptas.search`).
     exact_machine_limit:
         Same, for the number of machines in the group.
     """

@@ -8,13 +8,12 @@ examples) rather than ad-hoc scripting.
   measure makespans against the best available reference (exact MILP optimum
   on small instances, LP lower bound otherwise).
 * :mod:`repro.analysis.experiments` — the experiment registry: one function
-  per experiment id of DESIGN.md (E1–E9, F1–F5) producing a
-  :class:`repro.analysis.tables.ResultTable`; since the :mod:`repro.api`
-  redesign each E-experiment is a thin
+  per experiment id (E1–E9, F1) producing a
+  :class:`repro.analysis.tables.ResultTable`; each E-experiment is a thin
   :class:`~repro.api.ScenarioSpec`-plus-post-processing wrapper over the
   :class:`~repro.api.Session` facade.
 * :mod:`repro.analysis.tables` — plain-text/markdown/CSV/JSON table
-  rendering used by the benchmark harness, EXPERIMENTS.md, and the
+  rendering used by the benchmark harness and the
   ``python -m repro run --export`` CLI.
 """
 
@@ -33,7 +32,6 @@ from repro.analysis.experiments import (
     experiment_e8_dual_search,
     experiment_e9_scalability,
     experiment_f1_speed_groups,
-    experiment_f2_batch_throughput,
 )
 
 __all__ = [
@@ -53,5 +51,4 @@ __all__ = [
     "experiment_e8_dual_search",
     "experiment_e9_scalability",
     "experiment_f1_speed_groups",
-    "experiment_f2_batch_throughput",
 ]

@@ -1,38 +1,31 @@
-"""The experiment registry (one function per row of DESIGN.md's experiment index).
+"""The experiment registry: one function per experiment id (E1–E9, F1).
 
 Every function returns a :class:`repro.analysis.tables.ResultTable`; the
-benchmark harness (``benchmarks/``) times the function and prints the table,
-and EXPERIMENTS.md records the headline numbers.  All experiments are seeded
-through :mod:`repro.generators.suites`, so re-running them reproduces the
-same rows.
+benchmark harness (``benchmarks/``) times the function and prints the
+table.  All experiments are seeded through :mod:`repro.generators.suites`,
+so re-running them reproduces the same rows.
 
-Since the :mod:`repro.api` redesign the E-experiments are *thin wrappers*:
-each declares its sweep as a :class:`~repro.api.ScenarioSpec` (suite +
-algorithm grid + scale presets), executes it through the shared
-:class:`~repro.api.Session` facade, and keeps only the post-processing that
-turns aligned results into its published table (reference solves, ratio
-columns).  Non-algorithm sweep steps (the E4 hardness construction, the E8
-dual-search probes, the F1 structure analysis) go through ``Session.map``.
-The F-benchmarks that *measure the stack itself* (F2 throughput, F3 store,
-F4 queue, F5 supervisor) keep their bespoke harnesses but construct every
-runner via :meth:`Session.build_runner`, so one config object governs them
-too.
-
-Every experiment takes ``(scale, session)``: :func:`run_experiment` builds
-one :class:`Session` (with the caller's ``store_path``) and hands it to
-E1–E9/F1–F2; F3–F5 build scratch sessions of their own.
+The E-experiments are *thin wrappers*: each declares its sweep as a
+:class:`~repro.api.ScenarioSpec` (suite + algorithm grid + scale presets),
+executes it through the shared :class:`~repro.api.Session` facade, and
+keeps only the post-processing that turns aligned results into its
+published table (reference solves, ratio columns).  Non-algorithm sweep
+steps (the E4 hardness construction, the E8 dual-search probes, the F1
+structure analysis) go through ``Session.map``.  Every experiment takes
+``(scale, session)``: :func:`run_experiment` builds one :class:`Session`
+(with the caller's ``store_path``) and hands it over.
 
 The paper itself contains no empirical evaluation (it is a theory paper);
 the experiments here verify each proven guarantee empirically and
 regenerate the structural content of Figure 1.  ``scale`` trades instance
-count/size against runtime: ``"quick"`` is used by the pytest-benchmark
-harness, ``"full"`` by EXPERIMENTS.md.
+count/size against runtime: ``"quick"`` is the pytest-benchmark default,
+``"full"`` the larger sweeps (``--scale=full``).  The serving stack
+itself is measured by ``perfbench/run.py``, not here.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -48,9 +41,7 @@ from repro.api import AlgorithmSweep, ScalePreset, ScenarioSpec, Session
 from repro.core.bounds import greedy_upper_bound, lp_lower_bound, makespan_bounds
 from repro.core.dual import dual_approximation_search
 from repro.core.instance import Instance
-from repro.generators import uniform_instance
 from repro.generators.suites import SUITES, iter_suite
-from repro.runtime import BatchRunner, BatchTask
 from repro.setcover import (
     greedy_set_cover,
     integrality_gap_instance,
@@ -72,11 +63,6 @@ __all__ = [
     "experiment_e8_dual_search",
     "experiment_e9_scalability",
     "experiment_f1_speed_groups",
-    "experiment_f2_batch_throughput",
-    "experiment_f3_store_warm_vs_cold",
-    "experiment_f4_queue_workers",
-    "experiment_f5_supervisor",
-    "result_digest",
 ]
 
 
@@ -548,428 +534,6 @@ def experiment_f1_speed_groups(scale: str = "quick",
 
 
 # ---------------------------------------------------------------------------
-# F2 — batch runtime throughput (serial vs process pool)
-# ---------------------------------------------------------------------------
-#: Algorithms used for the throughput grid.  The PTAS at a small epsilon
-#: makes each task cost tens of milliseconds, so pool startup and pickling
-#: overheads amortise and the measured speedup reflects the dispatch
-#: engine, not fork latency.
-F2_ALGORITHMS = (("ptas-uniform", {"epsilon": 0.05}),
-                 ("lpt-with-setups", {}),
-                 ("class-aware-greedy", {}))
-
-
-def experiment_f2_batch_throughput(scale: str = "quick",
-                                   session: Optional[Session] = None) -> ResultTable:
-    """Instances/second of the batch runtime, serial vs parallel dispatch.
-
-    Runs the same ``(algorithm × instance)`` grid twice with the result
-    cache disabled: once on a single in-process worker and once with the
-    auto-sized process pool.  Tasks are interleaved instance-major and
-    dispatched in small chunks so heavy PTAS tasks spread across workers.
-    On a single-CPU host the two modes coincide (the runner degrades to
-    in-process execution) and the speedup column stays ≈ 1.
-    """
-    quick = scale == "quick"
-    num_instances = 16 if quick else 48
-    n, m, K = (200, 12, 20) if quick else (400, 20, 40)
-    instances = [uniform_instance(n, m, K, seed=7000 + i, integral=True)
-                 for i in range(num_instances)]
-    tasks = [BatchTask.make(name, inst, kwargs)
-             for inst in instances for name, kwargs in F2_ALGORITHMS]
-
-    session = session or Session()
-    serial = session.build_runner(max_workers=1, cache=False, store=None,
-                                  backend=None)
-    serial_batch = serial.run_tasks(tasks)
-    serial_batch.raise_for_failures()
-    parallel = session.build_runner(cache=False, chunk_size=2, store=None,
-                                    backend=None)
-    parallel_batch = parallel.run_tasks(tasks)
-    parallel_batch.raise_for_failures()
-
-    table = ResultTable(
-        title="F2: batch runtime throughput — serial vs process-pool dispatch",
-        columns=["mode", "workers", "tasks", "wall_s", "tasks_per_s",
-                 "speedup_vs_serial"],
-    )
-    table.add_row(mode="serial", workers=1, tasks=len(serial_batch),
-                  wall_s=serial_batch.wall_seconds,
-                  tasks_per_s=serial_batch.throughput(), speedup_vs_serial=1.0)
-    speedup = (serial_batch.wall_seconds / parallel_batch.wall_seconds
-               if parallel_batch.wall_seconds > 0 else float("inf"))
-    table.add_row(mode="parallel", workers=parallel.max_workers,
-                  tasks=len(parallel_batch), wall_s=parallel_batch.wall_seconds,
-                  tasks_per_s=parallel_batch.throughput(),
-                  speedup_vs_serial=speedup)
-    table.add_note("expected shape: tasks_per_s scales with the worker count; on a "
-                   "single-CPU host both modes run in-process and the speedup is ~1")
-    return table
-
-
-# ---------------------------------------------------------------------------
-# F3 — persistent store: warm vs cold grid re-runs, streaming latency
-# ---------------------------------------------------------------------------
-#: The F3 grid leans on the PTAS at a small epsilon so each cold task costs
-#: a tangible fraction of a second — the quantity under test is the store's
-#: ability to *skip* that work on a warm re-run, not the work itself.
-F3_ALGORITHMS = (("ptas-uniform", {"epsilon": 0.04}),
-                 ("lpt-with-setups", {}),
-                 ("class-aware-greedy", {}))
-
-
-def _f3_stream(runner: BatchRunner, tasks: List[BatchTask]) -> Dict[str, float]:
-    """Drain ``run_iter`` and time first-yield / first-fresh / total wall.
-
-    ``first_result_s`` is the latency to the *first* streamed result of any
-    origin; ``first_fresh_s`` to the first result that was actually
-    computed this run (``nan`` when everything was warm).  The gap between
-    the two is the streaming win: warm results reach the consumer while
-    cold work is still running.
-    """
-    warm_before = runner.stats["cache_hits"] + runner.stats["store_hits"]
-    start = time.perf_counter()
-    first_result = first_fresh = float("nan")
-    count = 0
-    for _idx, _result in runner.run_iter(tasks):
-        now = time.perf_counter() - start
-        count += 1
-        if math.isnan(first_result):
-            first_result = now
-        warm_now = runner.stats["cache_hits"] + runner.stats["store_hits"]
-        if math.isnan(first_fresh) and count > warm_now - warm_before:
-            first_fresh = now
-    wall = time.perf_counter() - start
-    warm_served = (runner.stats["cache_hits"] + runner.stats["store_hits"]
-                   - warm_before)
-    return {"wall_s": wall, "first_result_s": first_result,
-            "first_fresh_s": first_fresh, "warm_served": warm_served,
-            "tasks": count}
-
-
-def experiment_f3_store_warm_vs_cold(scale: str = "quick",
-                                     session: Optional[Session] = None) -> ResultTable:
-    """Persistent-store throughput: cold compute vs warm re-run vs mixed.
-
-    Three passes over the same task grid, each with a *fresh*
-    ``BatchRunner`` (empty in-memory cache) sharing one on-disk
-    :class:`~repro.store.ResultStore`:
-
-    * ``cold`` — empty store; every task computes and is persisted;
-    * ``warm`` — a new runner (think: restarted process) re-runs the
-      identical grid; everything streams from the store with no pool work;
-    * ``mixed`` — the warm grid plus fresh instances; warm results must
-      reach the consumer before the pool finishes its first cold chunk.
-
-    The pool is forced on (even on one CPU) so the mixed row measures real
-    fork/dispatch latency, and the cost model fitted from the cold pass
-    orders the mixed pass's cold tasks by descending predicted cost.
-    Runners come from a store-configured :class:`Session`
-    (``build_runner``: fresh in-memory cache per pass, shared disk store).
-    ``session`` is ignored: F3–F5 measure the stack itself on scratch
-    stores, so they build their own sessions.
-    """
-    import shutil
-    import tempfile
-
-    quick = scale == "quick"
-    num_instances = 6 if quick else 16
-    num_fresh = 2 if quick else 4
-    n, m, K = (500, 16, 24) if quick else (900, 24, 40)
-    instances = [uniform_instance(n, m, K, seed=7300 + i, integral=True)
-                 for i in range(num_instances)]
-    fresh_instances = [uniform_instance(n, m, K, seed=7900 + i, integral=True)
-                      for i in range(num_fresh)]
-    base_tasks = [BatchTask.make(name, inst, kwargs)
-                  for inst in instances for name, kwargs in F3_ALGORITHMS]
-    mixed_tasks = base_tasks + [BatchTask.make(name, inst, kwargs)
-                                for inst in fresh_instances
-                                for name, kwargs in F3_ALGORITHMS]
-
-    store_dir = Path(tempfile.mkdtemp(prefix="repro-f3-"))
-    store_path = store_dir / "f3_store.sqlite"
-    session = Session(store_path=str(store_path))
-
-    def fresh_runner() -> BatchRunner:
-        return session.build_runner(backend="pool", chunk_size=2)
-
-    table = ResultTable(
-        title="F3: persistent result store — warm vs cold grid re-runs",
-        columns=["mode", "tasks", "warm_served", "wall_s", "first_result_s",
-                 "first_fresh_s", "tasks_per_s", "speedup_vs_cold"],
-    )
-    timings: Dict[str, Dict[str, float]] = {}
-    try:
-        for mode, tasks in (("cold", base_tasks), ("warm", base_tasks),
-                            ("mixed", mixed_tasks)):
-            runner = fresh_runner()
-            try:
-                timing = _f3_stream(runner, tasks)
-            finally:
-                runner.store.close()
-            timings[mode] = timing
-            table.add_row(
-                mode=mode, tasks=timing["tasks"], warm_served=timing["warm_served"],
-                wall_s=timing["wall_s"], first_result_s=timing["first_result_s"],
-                first_fresh_s=timing["first_fresh_s"],
-                tasks_per_s=timing["tasks"] / timing["wall_s"],
-                speedup_vs_cold=timings["cold"]["wall_s"] / timing["wall_s"],
-            )
-    finally:
-        shutil.rmtree(store_dir, ignore_errors=True)
-    table.add_note("expected shape: the warm re-run serves every task from the store "
-                   ">= 5x faster than the cold run; in the mixed run first_result_s "
-                   "(a warm stream hit) comes well before first_fresh_s (the first "
-                   "pool-computed result)")
-    return table
-
-
-# ---------------------------------------------------------------------------
-# F4 — distributed queue: subprocess workers vs the serial backend
-# ---------------------------------------------------------------------------
-#: The F4 grid: deterministic algorithms only (no MILP incumbents, no
-#: randomness), so the serial and the distributed runs must agree to the
-#: byte — any divergence is a queue-layer bug, not solver noise.
-F4_ALGORITHMS = (("ptas-uniform", {"epsilon": 0.3}),
-                 ("lpt-with-setups", {}),
-                 ("class-aware-greedy", {}))
-
-
-def result_digest(results) -> str:
-    """SHA-256 over the canonical content of a result list.
-
-    Hashes everything a scheduling answer *is* — algorithm name, makespan,
-    guarantee, and the full job-to-machine assignment — and nothing that
-    merely describes how it was produced (wall times, meta diagnostics),
-    so two backends computing the same tasks must collide exactly.
-    """
-    import hashlib
-
-    h = hashlib.sha256()
-    for result in results:
-        h.update(result.name.encode())
-        h.update(repr(result.makespan).encode())
-        h.update(repr(result.guarantee).encode())
-        arr = np.ascontiguousarray(result.schedule.assignment)
-        h.update(str(arr.dtype).encode())
-        h.update(arr.tobytes())
-    return h.hexdigest()
-
-
-def experiment_f4_queue_workers(scale: str = "quick",
-                                session: Optional[Session] = None) -> ResultTable:
-    """Distributed queue backend vs serial: equality and exactly-once compute.
-
-    Runs one deterministic task grid twice:
-
-    * ``serial`` — the in-process :class:`SerialBackend`, the semantic
-      reference;
-    * ``queue`` — tasks enqueued into a fresh store file's ``task_queue``
-      and drained by **two** ``python -m repro.runtime.worker``
-      subprocesses; the submitting runner is a pure coordinator
-      (``inline=False``), so every result was computed by a worker and
-      travelled back through the store.
-
-    The acceptance properties of the distributed layer are measured into
-    the table (and asserted by ``bench_f4_queue_workers``):
-    ``digest(queue) == digest(serial)`` and ``duplicate_computes == 0``
-    (store-mediated dedup: two workers on one file never compute a cache
-    key twice).  On a 1-CPU host the workers interleave instead of
-    parallelising — correctness, not speedup, is the quantity under test.
-    Both runners are built by :class:`Session` facades: the serial
-    reference from a store-less config, the coordinator from a
-    queue-backend config with its options in ``backend_options``
-    (``session`` is ignored, as in F3).
-    """
-    import shutil
-    import subprocess
-    import sys
-    import tempfile
-
-    from repro.store.task_queue import TaskQueue
-
-    quick = scale == "quick"
-    num_instances = 4 if quick else 12
-    n, m, K = (80, 6, 8) if quick else (200, 12, 16)
-    instances = [uniform_instance(n, m, K, seed=7400 + i, integral=True)
-                 for i in range(num_instances)]
-    tasks = [BatchTask.make(name, inst, kwargs)
-             for inst in instances for name, kwargs in F4_ALGORITHMS]
-
-    table = ResultTable(
-        title="F4: distributed SQLite work queue — two workers vs serial",
-        columns=["mode", "workers", "tasks", "unique_keys", "wall_s",
-                 "computed", "duplicate_computes", "digest12"],
-    )
-
-    serial = Session(backend="serial").build_runner(max_workers=1,
-                                                    cache=False, store=None)
-    serial_batch = serial.run_tasks(tasks).raise_for_failures()
-    serial_digest = result_digest(serial_batch.results)
-    table.add_row(mode="serial", workers=0, tasks=len(serial_batch),
-                  unique_keys=len({t.cache_key() for t in tasks}),
-                  wall_s=serial_batch.wall_seconds,
-                  computed=len(serial_batch), duplicate_computes=0,
-                  digest12=serial_digest[:12])
-
-    store_dir = Path(tempfile.mkdtemp(prefix="repro-f4-"))
-    store_path = store_dir / "f4_store.sqlite"
-    env = dict(os.environ)
-    src_dir = str(Path(__file__).resolve().parents[2])
-    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    workers = []
-    try:
-        for i in range(2):
-            workers.append(subprocess.Popen(
-                [sys.executable, "-m", "repro.runtime.worker",
-                 "--store", str(store_path), "--worker-id", f"f4-worker-{i}",
-                 "--idle-exit", "20", "--poll-s", "0.02"],
-                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL))
-        coordinator = Session(
-            store_path=str(store_path), backend="queue",
-            backend_options={"inline": False, "poll_s": 0.02,
-                             "stall_timeout_s": 120.0},
-        ).build_runner(max_workers=1)
-        queue_batch = coordinator.run_tasks(tasks).raise_for_failures()
-        queue_digest = result_digest(queue_batch.results)
-        queue = TaskQueue(store_path)
-        compute_counts = queue.compute_counts(
-            sorted({t.cache_key() for t in tasks}))
-        queue.close()
-        coordinator.store.close()
-        table.add_row(
-            mode="queue", workers=len(workers), tasks=len(queue_batch),
-            unique_keys=len(compute_counts), wall_s=queue_batch.wall_seconds,
-            computed=sum(compute_counts.values()),
-            duplicate_computes=sum(max(0, c - 1)
-                                   for c in compute_counts.values()),
-            digest12=queue_digest[:12])
-    finally:
-        for proc in workers:
-            proc.terminate()
-        for proc in workers:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                proc.kill()
-        shutil.rmtree(store_dir, ignore_errors=True)
-    table.add_note("expected shape: identical digest12 for both modes "
-                   "(byte-identical schedules), duplicate_computes = 0 "
-                   "(store-mediated dedup), computed = unique_keys")
-    return table
-
-
-# ---------------------------------------------------------------------------
-# F5 — supervised worker fleet: autoscaling, crash restarts, budgets
-# ---------------------------------------------------------------------------
-def experiment_f5_supervisor(scale: str = "quick",
-                             session: Optional[Session] = None) -> ResultTable:
-    """Supervised chaos fleet vs serial: equality, exactly-once, budgets.
-
-    Runs one deterministic task grid twice:
-
-    * ``serial`` — the in-process :class:`SerialBackend`, the semantic
-      reference (built by a :class:`Session` facade);
-    * ``supervised`` — tasks enqueued into a fresh store file's
-      ``task_queue`` with a per-task ``budget_s`` stamped on every row,
-      then drained by a :class:`~repro.runtime.supervisor.Supervisor`
-      managing a fleet of **chaos** workers
-      (``python -m repro.testing.chaos --crash-after 5``, fleet capped at
-      2 — CI runs on 1 CPU): every incarnation computes five tasks and
-      dies, so the run only finishes if crash-restart actually works, and
-      — since 5 never divides the grid — at least one final incarnation
-      survives to be retired idle.
-
-    The acceptance properties of the supervisor layer are measured into
-    the table (and asserted by ``bench_f5_supervisor``):
-    ``digest(supervised) == digest(serial)``, ``duplicate_computes == 0``
-    despite the injected crashes, the supervisor log shows spawns,
-    crash-restarts and an idle retirement, and every result carries the
-    budget its queue row travelled with (``meta["budget_s"]``), none of
-    them blown.  ``session`` is ignored, as in F3.
-    """
-    import shutil
-    import tempfile
-
-    from repro.runtime.supervisor import Supervisor
-    from repro.store import ResultStore
-    from repro.store.task_queue import TaskQueue
-
-    quick = scale == "quick"
-    num_instances = 4 if quick else 12
-    n, m, K = (80, 6, 8) if quick else (200, 12, 16)
-    budget_s = 120.0  # generous: honest work must never trip it
-    instances = [uniform_instance(n, m, K, seed=7500 + i, integral=True)
-                 for i in range(num_instances)]
-    tasks = [BatchTask.make(name, inst, kwargs)
-             for inst in instances for name, kwargs in F4_ALGORITHMS]
-
-    table = ResultTable(
-        title="F5: supervised worker fleet — autoscale, crash-restart, budgets",
-        columns=["mode", "max_workers", "tasks", "wall_s", "computed",
-                 "duplicate_computes", "spawned", "crashed", "restarts",
-                 "retired", "budgeted", "over_budget", "digest12"],
-    )
-
-    serial = Session(backend="serial").build_runner(max_workers=1,
-                                                    cache=False, store=None)
-    serial_batch = serial.run_tasks(tasks).raise_for_failures()
-    serial_digest = result_digest(serial_batch.results)
-    table.add_row(mode="serial", max_workers=0, tasks=len(serial_batch),
-                  wall_s=serial_batch.wall_seconds, computed=len(serial_batch),
-                  duplicate_computes=0, spawned=0, crashed=0, restarts=0,
-                  retired=0, budgeted=0, over_budget=0,
-                  digest12=serial_digest[:12])
-
-    store_dir = Path(tempfile.mkdtemp(prefix="repro-f5-"))
-    store_path = store_dir / "f5_store.sqlite"
-    try:
-        with TaskQueue(store_path, lease_s=30.0) as queue:
-            queue.enqueue(tasks, budgets=[budget_s] * len(tasks))
-        supervisor = Supervisor(
-            store_path, max_workers=2, lease_s=30.0, poll_s=0.05,
-            idle_grace_s=0.3, restart_backoff_s=0.1, restart_cap=60,
-            worker_module="repro.testing.chaos",
-            worker_args=["--crash-after", "5"],
-            worker_idle_exit=2.0, worker_poll_s=0.02)
-        t0 = time.perf_counter()
-        summary = supervisor.run()
-        wall = time.perf_counter() - t0
-        if not summary["drained"]:
-            raise RuntimeError(
-                f"supervisor gave up before draining the queue: {summary}")
-
-        with TaskQueue(store_path, lease_s=30.0) as queue:
-            compute_counts = queue.compute_counts(
-                sorted({t.cache_key() for t in tasks}))
-        with ResultStore(store_path) as store:
-            warm = store.prefetch(tasks)
-        missing = [t.cache_key() for t in tasks if t.cache_key() not in warm]
-        if missing:
-            raise RuntimeError(
-                f"{len(missing)} task(s) never produced a stored result")
-        results = [warm[t.cache_key()] for t in tasks]
-        table.add_row(
-            mode="supervised", max_workers=2, tasks=len(tasks), wall_s=wall,
-            computed=sum(compute_counts.values()),
-            duplicate_computes=sum(max(0, c - 1)
-                                   for c in compute_counts.values()),
-            spawned=summary["spawned"], crashed=summary["crashed"],
-            restarts=summary["restarts"], retired=summary["retired"],
-            budgeted=sum(1 for r in results
-                         if r.meta.get("budget_s") == budget_s),
-            over_budget=sum(1 for r in results if r.meta.get("over_budget")),
-            digest12=result_digest(results)[:12])
-    finally:
-        shutil.rmtree(store_dir, ignore_errors=True)
-    table.add_note("expected shape: identical digest12 for both modes, "
-                   "duplicate_computes = 0 despite injected crashes, "
-                   "spawned/crashed/restarts/retired all >= 1 on the "
-                   "supervised row, budgeted = tasks, over_budget = 0")
-    return table
-
-
-# ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 EXPERIMENTS: Dict[str, Callable[[str, Session], ResultTable]] = {
@@ -983,21 +547,17 @@ EXPERIMENTS: Dict[str, Callable[[str, Session], ResultTable]] = {
     "E8": experiment_e8_dual_search,
     "E9": experiment_e9_scalability,
     "F1": experiment_f1_speed_groups,
-    "F2": experiment_f2_batch_throughput,
-    "F3": experiment_f3_store_warm_vs_cold,
-    "F4": experiment_f4_queue_workers,
-    "F5": experiment_f5_supervisor,
 }
 
 
 def run_experiment(experiment_id: str, scale: str = "quick",
                    store_path: Union[None, str, Path] = None) -> ResultTable:
-    """Run one experiment by id (``"E1"`` … ``"E9"``, ``"F1"``–``"F5"``).
+    """Run one experiment by id (``"E1"`` … ``"E9"``, ``"F1"``).
 
     The experiment runs on one :class:`Session`: ``store_path`` gives it a
     persistent result store so sweep results are reused across processes
-    (``None`` leaves the store to ``REPRO_RESULT_STORE``).  F2/F3/F4/F5/E9
-    manage their own runners and stores by design.
+    (``None`` leaves the store to ``REPRO_RESULT_STORE``).  E9 times its
+    tasks on a dedicated store-less runner by design.
     """
     key = experiment_id.upper()
     if key not in EXPERIMENTS:

@@ -1,7 +1,7 @@
 """Plain-text result tables.
 
 The benchmark harness prints one :class:`ResultTable` per experiment; the
-same objects back the summaries recorded in EXPERIMENTS.md.
+same objects back ``python -m repro run --export``.
 """
 
 from __future__ import annotations

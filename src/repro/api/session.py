@@ -21,7 +21,7 @@ Sessions resolve runners through the canonical keyed pool
 ``(store, backend)`` key share one runner, its cache, and its store
 handle — and hand out dedicated runners (:meth:`Session.build_runner`)
 for workloads whose measurement would be contaminated by sharing
-(throughput benchmarks, scenarios carrying their own budget policy).
+(timing experiments, scenarios carrying their own budget policy).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class SessionConfig:
     autoscale:
         Queue-backend worker fleet ceiling (``REPRO_AUTOSCALE``); ``0``
         disables autoscaling.  Only meaningful with ``backend="queue"``.
-    max_workers / timeout_s / cache / chunk_size:
+    max_workers / timeout_s / cache:
         Forwarded to :class:`BatchRunner` construction.
     backend_options:
         Extra backend constructor kwargs (e.g. chaos/testing knobs such
@@ -70,7 +70,6 @@ class SessionConfig:
     max_workers: Optional[int] = None
     timeout_s: Optional[float] = None
     cache: bool = True
-    chunk_size: Optional[int] = None
     backend_options: Dict[str, Any] = field(default_factory=dict)
 
     @classmethod
@@ -110,7 +109,7 @@ class SessionConfig:
         (store and backend aside)."""
         kwargs: Dict[str, Any] = dict(
             max_workers=self.max_workers, timeout=self.timeout_s,
-            cache=self.cache, chunk_size=self.chunk_size)
+            cache=self.cache)
         options = dict(self.backend_options)
         if self.backend == "queue":
             options.setdefault("autoscale", self.autoscale)
@@ -155,11 +154,11 @@ class Session:
     def build_runner(self, **overrides: Any) -> BatchRunner:
         """A dedicated (non-pooled) runner for this session's config.
 
-        For workloads that must not share state: throughput measurements
-        (their own worker counts, caches off), scenario specs carrying a
-        budget policy, the F3–F5 harnesses with scratch stores.  Keyword
-        overrides win over the config; pass ``store=None`` explicitly to
-        drop the session store, ``store=path`` to substitute one.
+        For workloads that must not share state: timing measurements
+        (their own worker counts, caches off, as in E9) and scenario specs
+        carrying a budget policy.  Keyword overrides win over the config;
+        pass ``store=None`` explicitly to drop the session store,
+        ``store=path`` to substitute one.
         """
         kwargs = dict(self.config.runner_kwargs(),
                       backend=self.config.backend,

@@ -30,7 +30,7 @@ class SuiteSpec:
     Attributes
     ----------
     name:
-        Suite identifier used by benchmarks and EXPERIMENTS.md.
+        Suite identifier used by the experiments and benchmarks.
     generator:
         Callable ``(seed=..., **params) -> Instance``.
     sweep:
@@ -64,7 +64,7 @@ def _points(**fixed) -> Callable[[List[Dict[str, object]]], Tuple[Dict[str, obje
 
 
 # ---------------------------------------------------------------------------
-# Suites (referenced from DESIGN.md experiment index)
+# Suites (one or more per experiment of repro.analysis.experiments)
 # ---------------------------------------------------------------------------
 
 SUITES: Dict[str, SuiteSpec] = {}

@@ -73,12 +73,10 @@ def map_chunk(func: Callable, items: List[object]) -> List[object]:
     return [func(item) for item in items]
 
 
-def resolve_chunk_size(chunk_size, num_tasks: int, max_workers: int) -> int:
-    """Tasks per pool submission: explicit, else ``ceil(len/4·workers)``
-    capped at 16 (big enough to amortise pickling, small enough to spread
-    heavy tasks across workers)."""
-    if chunk_size is not None:
-        return max(1, int(chunk_size))
+def resolve_chunk_size(num_tasks: int, max_workers: int) -> int:
+    """Tasks per pool submission: ``ceil(num_tasks/4·workers)`` capped at 16
+    (big enough to amortise pickling, small enough to spread heavy tasks
+    across workers)."""
     spread = max(1, -(-num_tasks // (4 * max_workers)))
     return min(16, spread)
 
@@ -87,7 +85,7 @@ class ExecutionBackend:
     """Base class / protocol for pluggable cold-task execution.
 
     A backend is constructed bound to its :class:`BatchRunner` and reads
-    execution policy (worker count, timeout, chunk size, mp context) from
+    execution policy (worker count, timeout, mp context) from
     it, reporting outcomes through the runner's ``_finalise`` /
     ``_sentinel`` helpers so error/timeout accounting lives in exactly one
     place regardless of where the work ran.

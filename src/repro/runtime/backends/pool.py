@@ -121,8 +121,7 @@ class PoolBackend(ExecutionBackend):
         if not indices:
             return
         timed = runner.timeout is not None
-        size = 1 if timed else resolve_chunk_size(runner.chunk_size, len(indices),
-                                                  runner.max_workers)
+        size = 1 if timed else resolve_chunk_size(len(indices), runner.max_workers)
         chunks = [indices[lo:lo + size] for lo in range(0, len(indices), size)]
         step = runner.max_workers if timed else len(chunks)
         waves = [chunks[lo:lo + step] for lo in range(0, len(chunks), step)]

@@ -18,8 +18,8 @@ By default the submitting process *also* drains the queue (``inline=True``)
 — a queue-backed runner with no external workers degrades to serial
 execution with queue bookkeeping, and with workers attached it becomes one
 more drain loop among them.  ``inline=False`` makes the submitter a pure
-coordinator (used by the F4 benchmark to prove external workers carry the
-whole load).
+coordinator: the autoscaled fleet or external workers carry the whole
+load.
 
 An autoscaled backend owns one supervisor subprocess for its lifetime,
 not per batch: the first :meth:`QueueBackend.submit` spawns it, later
@@ -290,7 +290,7 @@ class QueueBackend(ExecutionBackend):
                             # Safe to recompute: workers put() before they
                             # complete(), so done + store-miss means the
                             # result is truly gone, not merely in flight.
-                            queue.requeue([row.key])
+                            queue.requeue([tasks[unresolved[row.key][0]]])
                             armed.add(row.key)
                             progressed = True
                     # A key with no row at all was cancelled by another

@@ -67,6 +67,10 @@ from repro.store import CostModel, ResultStore
 __all__ = ["BatchTask", "BatchResult", "BatchRunner", "instance_fingerprint",
            "usable_cpus"]
 
+#: Store puts between lazy refits of an ``"auto"`` cost model, so
+#: predictions track the runs the store has just absorbed.
+REFIT_EVERY = 200
+
 
 def _hash_array(h, arr: np.ndarray) -> None:
     """Feed an array's content (dtype, shape, bytes) into a hash."""
@@ -252,12 +256,9 @@ class BatchRunner:
         recorded wall times on first use (no-op without a store or with an
         empty one); pass an explicit model, or ``None`` to disable
         cost-based ordering and budgeting.  The lazy fit happens once per
-        runner; call :meth:`refit_cost_model` to absorb newly recorded
-        runs.
-    chunk_size:
-        Tasks per pool submission; ``None`` picks ``ceil(len/4·workers)``
-        capped at 16.  Not used when ``timeout`` is set (each task is its
-        own submission so its budget is its own).
+        runner, re-armed after every :data:`REFIT_EVERY` results written
+        through the attached store handle; call :meth:`refit_cost_model`
+        to absorb newly recorded runs at once.
     backend:
         Where cold tasks execute: a name from
         :data:`repro.runtime.backends.BACKENDS` (``"serial"``, ``"pool"``,
@@ -270,12 +271,6 @@ class BatchRunner:
     backend_options:
         Extra constructor kwargs for a *named* backend (e.g.
         ``{"inline": False, "lease_s": 10.0}`` for ``"queue"``).
-    refit_every:
-        Auto-refit cadence of an ``"auto"`` cost model: after this many
-        results are written through the attached store handle, the model
-        is lazily refitted so predictions track the runs the store just
-        absorbed.  ``None`` disables auto-refitting (the manual
-        :meth:`refit_cost_model` always works).
     """
 
     def __init__(
@@ -286,19 +281,14 @@ class BatchRunner:
         cache: bool = True,
         store: Union[None, str, Path, ResultStore] = None,
         cost_model: Union[None, str, CostModel] = "auto",
-        chunk_size: Optional[int] = None,
         backend: Union[None, str, ExecutionBackend] = None,
         backend_options: Optional[Dict[str, object]] = None,
-        refit_every: Optional[int] = 200,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if refit_every is not None and refit_every < 1:
-            raise ValueError("refit_every must be >= 1 (or None to disable)")
         self.max_workers = max_workers if max_workers is not None else usable_cpus()
         self.timeout = timeout
         self.cache_enabled = cache
-        self.chunk_size = chunk_size
         if isinstance(store, (str, Path)):
             store = ResultStore(store)
         self.store: Optional[ResultStore] = store
@@ -306,7 +296,6 @@ class BatchRunner:
         #: Whether the cost model is runner-managed ("auto") as opposed to
         #: caller-provided/disabled; only the former is auto-refitted.
         self._cost_model_auto = isinstance(cost_model, str)
-        self.refit_every = refit_every
         self._next_refit_at = self._refit_threshold()
         # Fork where available so registry state (including dynamically
         # registered algorithms) reaches pool workers.
@@ -455,12 +444,12 @@ class BatchRunner:
 
     def _refit_threshold(self) -> Optional[int]:
         """Store-put count at which the next auto-refit should trigger."""
-        if self.refit_every is None or self.store is None:
+        if self.store is None:
             return None
-        return self.store.stats_counters["puts"] + self.refit_every
+        return self.store.stats_counters["puts"] + REFIT_EVERY
 
     def _maybe_rearm_cost_model(self) -> None:
-        """Re-arm the ``"auto"`` cost model every ``refit_every`` store puts.
+        """Re-arm the ``"auto"`` cost model every :data:`REFIT_EVERY` store puts.
 
         The counter watched is the attached store handle's ``puts`` — with
         :func:`repro.runtime.pool.get_runner` sharing one :class:`ResultStore`
@@ -470,8 +459,7 @@ class BatchRunner:
         :meth:`cost_model` call), so a burst of puts costs one refit, not
         one per put.
         """
-        if (self._next_refit_at is None or not self._cost_model_auto
-                or self.store is None):
+        if self._next_refit_at is None or not self._cost_model_auto:
             return
         if self.store.stats_counters["puts"] >= self._next_refit_at:
             self._cost_model = "auto"
@@ -595,7 +583,7 @@ class BatchRunner:
         if not isinstance(self.backend, PoolBackend) or len(items) == 1:
             # A single item gains nothing from a pool; skip fork + pickling.
             return [func(item) for item in items]
-        chunk = resolve_chunk_size(self.chunk_size, len(items), self.max_workers)
+        chunk = resolve_chunk_size(len(items), self.max_workers)
         chunks = [items[i:i + chunk] for i in range(0, len(items), chunk)]
         with ProcessPoolExecutor(max_workers=self.max_workers,
                                  mp_context=self._mp_context) as pool:

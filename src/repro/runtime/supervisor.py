@@ -217,7 +217,7 @@ class Supervisor:
 
     :meth:`run` blocks until the queue drains (or the crash cap trips)
     and returns a summary dict; ``events`` keeps the human-readable log
-    lines for in-process callers (the F5 experiment asserts on them).
+    lines for in-process callers (the supervisor tests assert on them).
     """
 
     def __init__(self, store_path: Union[str, Path], *,
@@ -260,7 +260,6 @@ class Supervisor:
         seq = 0
         try:
             while True:
-                queue.reclaim_expired()
                 # Reap exits first, so counts below see the true fleet.
                 for wid in list(workers):
                     rc = workers[wid].poll()
@@ -269,6 +268,11 @@ class Supervisor:
                     workers.pop(wid)
                     if wid in retiring or rc == 0:
                         retiring.discard(wid)
+                        # A retiree that leased a task just before its
+                        # SIGTERM died holding the lease; expire it so the
+                        # reclaim below requeues the task now, not after
+                        # lease_s.
+                        queue.expire_leases(wid)
                         self.policy.record_exit(0)
                         self.summary["retired"] += 1  # type: ignore[operator]
                         self._event(f"retired idle worker {wid} (rc={rc})")
@@ -280,6 +284,7 @@ class Supervisor:
                             f"worker {wid} crashed (rc={rc}); "
                             f"{self.policy.crashes} consecutive crash(es), "
                             f"backoff {self.policy.backoff_remaining:.2f}s")
+                queue.reclaim_expired()
                 counts = queue.counts()
                 outstanding = counts["queued"] + counts["leased"]
                 self.policy.note_progress(counts["done"])
@@ -321,8 +326,9 @@ class Supervisor:
                             self._event(f"spawned worker {wid} "
                                         f"(queue depth {outstanding})")
                 elif delta < 0:
-                    # Safe: the policy only retires when outstanding == 0,
-                    # so no worker can be holding a lease we would strand.
+                    # The policy retires only when outstanding == 0, but a
+                    # task may arrive before the signal lands; a retiree
+                    # that leased it is reaped above, lease expired.
                     for wid in list(workers)[:(-delta)]:
                         if wid in retiring:
                             continue
@@ -356,7 +362,7 @@ class Supervisor:
                "--idle-exit", str(self.worker_idle_exit),
                *self.worker_args]
         # Workers print a one-line drain summary on exit; that belongs to
-        # them, not to the supervisor's (or the F5 table's) stdout.
+        # them, not to the supervisor's stdout.
         return subprocess.Popen(cmd, env=child_env(),
                                 stdout=subprocess.DEVNULL)
 

@@ -38,7 +38,8 @@ Row lifecycle
   result already sits in the store completes the row *without computing*
   (``compute_count`` stays put).  ``compute_count`` records how many times
   a key was actually computed across all workers — the dedup guarantee is
-  ``compute_count == 1`` for every key, which the F4 benchmark asserts.
+  ``compute_count == 1`` for every key, which the cross-process queue
+  tests and the supervisor soak assert.
 * **Budgets travel with the work.**  The submitter may stamp each row
   with a ``budget_s`` wall-clock budget (typically derived from the
   fitted cost model); whichever worker leases the row enforces it —
@@ -365,14 +366,16 @@ class TaskQueue:
                     armed.append(key)
         return armed
 
-    def requeue(self, keys: Sequence[str], *,
+    def requeue(self, tasks: Sequence["BatchTask"], *,
                 now: Optional[float] = None) -> int:
-        """Re-arm finished rows (``done`` or ``failed``) to ``queued``.
+        """Re-arm the finished rows (``done`` or ``failed``) of ``tasks``.
 
         The escape hatch for a ``done`` row whose published result has
         since vanished from the result store (the version purge on a
         ``repro`` upgrade, a cleared or rebuilt store): without it the row would
         block re-submission forever — nothing claimable, nothing stored.
+        A ``done`` row no longer holds its task (:meth:`complete` drops
+        it), so the caller's task is written back as the payload.
         Resets the attempt budget (the wall-clock ``budget_s`` is kept —
         it describes the task, not the attempt); in-flight
         (``queued``/``leased``) rows are left alone.
@@ -380,16 +383,14 @@ class TaskQueue:
         now = self._clock() if now is None else now
         changed = 0
         with self._conn:
-            for lo in range(0, len(keys), _MAX_SQL_PARAMS):
-                chunk = list(keys[lo:lo + _MAX_SQL_PARAMS])
-                placeholders = ",".join("?" * len(chunk))
+            for task in tasks:
                 cur = self._conn.execute(
-                    f"UPDATE task_queue SET status = 'queued', attempts = 0,"
-                    f" owner = NULL, lease_expires_at = NULL, error = NULL,"
-                    f" excluded_worker = NULL, updated_at = ?"
-                    f" WHERE status IN ('done', 'failed')"
-                    f" AND key IN ({placeholders})",
-                    [now, *chunk])
+                    "UPDATE task_queue SET status = 'queued', attempts = 0,"
+                    " task_payload = ?, owner = NULL, lease_expires_at = NULL,"
+                    " error = NULL, excluded_worker = NULL, updated_at = ?"
+                    " WHERE status IN ('done', 'failed') AND key = ?",
+                    (pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL),
+                     now, task.cache_key()))
                 changed += cur.rowcount
         return changed
 
@@ -467,6 +468,10 @@ class TaskQueue:
         """Mark a key ``done``.  ``computed=False`` records a dedup hit
         (the result was already in the store; nothing was computed).
 
+        The row's pickled task is dropped (an empty payload): the result
+        lives in the store, and :meth:`requeue` writes the task back if
+        that result ever vanishes.
+
         Deliberately not owner-checked: results are content-addressed, so
         a worker finishing after its lease expired (and after a second
         worker re-leased the row) still reports a correct outcome —
@@ -476,7 +481,7 @@ class TaskQueue:
         with self._conn:
             self._conn.execute(
                 "UPDATE task_queue SET status = 'done', owner = ?,"
-                " lease_expires_at = NULL, error = NULL,"
+                " task_payload = X'', lease_expires_at = NULL, error = NULL,"
                 " compute_count = compute_count + ?, updated_at = ?"
                 " WHERE key = ?",
                 (worker_id, 1 if computed else 0, now, key))
@@ -497,6 +502,23 @@ class TaskQueue:
                 " lease_expires_at = NULL, error = ?, updated_at = ?"
                 " WHERE key = ?",
                 (worker_id, error, now, key))
+
+    def expire_leases(self, worker_id: str, *,
+                      now: Optional[float] = None) -> int:
+        """Expire every lease ``worker_id`` holds, as of ``now``.
+
+        For a worker known to be dead — the supervisor retired it — so the
+        next :meth:`reclaim_expired` requeues its rows at once instead of
+        after ``lease_s``.  Returns the number of leases expired.
+        """
+        now = self._clock() if now is None else now
+        with self._conn:
+            cur = self._conn.execute(
+                "UPDATE task_queue SET lease_expires_at = ?"
+                " WHERE status = 'leased' AND owner = ?"
+                "   AND lease_expires_at > ?",
+                (now, worker_id, now))
+        return cur.rowcount
 
     def reclaim_expired(self, *, now: Optional[float] = None) -> int:
         """Requeue expired leases; fail rows that exhausted their attempts.

@@ -1,6 +1,13 @@
-"""Shared fixtures: small, seeded instances of every machine environment."""
+"""Shared fixtures: small, seeded instances of every machine environment.
+
+Also :func:`result_digest`, the byte-level equality check the queue and
+supervisor tests compare against a serial run (``from conftest import
+result_digest``).
+"""
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -75,3 +82,22 @@ def small_cu_restrictions() -> Instance:
 @pytest.fixture
 def small_cu_ptimes() -> Instance:
     return class_uniform_ptimes_instance(18, 4, 5, seed=106)
+
+
+def result_digest(results) -> str:
+    """SHA-256 over the canonical content of a result list.
+
+    Hashes everything a scheduling answer *is* — algorithm name, makespan,
+    guarantee, and the full job-to-machine assignment — and nothing that
+    merely describes how it was produced (wall times, meta diagnostics),
+    so two backends computing the same tasks must collide exactly.
+    """
+    h = hashlib.sha256()
+    for result in results:
+        h.update(result.name.encode())
+        h.update(repr(result.makespan).encode())
+        h.update(repr(result.guarantee).encode())
+        arr = np.ascontiguousarray(result.schedule.assignment)
+        h.update(str(arr.dtype).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()

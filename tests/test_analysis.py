@@ -134,7 +134,7 @@ class TestCompareAlgorithms:
 class TestExperimentRegistry:
     def test_all_design_doc_experiments_registered(self):
         assert set(EXPERIMENTS) == {"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9",
-                                    "F1", "F2", "F3", "F4", "F5"}
+                                    "F1"}
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):

@@ -31,6 +31,7 @@ from repro.runtime import (
     unregister_algorithm,
 )
 from repro.runtime.backends import make_backend
+from repro.runtime.backends.base import resolve_chunk_size
 
 BACKEND_NAMES = ("serial", "pool", "queue")
 
@@ -76,7 +77,6 @@ def make_runner(backend: str, tmp_path, **kwargs) -> BatchRunner:
     """
     if backend == "pool":
         kwargs.setdefault("max_workers", 2)
-        kwargs.setdefault("chunk_size", 1)
         return BatchRunner(backend="pool", **kwargs)
     if backend == "queue":
         kwargs.setdefault("max_workers", 1)
@@ -144,6 +144,9 @@ class TestBackendConformance:
         # sleeper starts (serial/queue execute in submission order).
         tasks = [BatchTask.make("class-aware-greedy", inst_fast),
                  BatchTask.make(sleeper_algorithm, inst_slow, {"delay": 5.0})]
+        # The pool ships each task alone, so the fast one is not held
+        # back in a chunk with the sleeper.
+        assert resolve_chunk_size(len(tasks), runner.max_workers) == 1
         t0 = time.perf_counter()
         for _idx, result in runner.run_iter(tasks):
             assert np.isfinite(result.makespan)

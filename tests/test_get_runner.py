@@ -15,6 +15,7 @@ import pytest
 from repro.api import Session
 from repro.generators import uniform_instance
 from repro.runtime import BatchRunner, QueueBackend, SerialBackend, pool
+from repro.runtime import runner as runner_module
 from repro.runtime.pool import get_runner
 
 
@@ -92,46 +93,47 @@ class TestKeyedPool:
 
 
 class TestAutoRefit:
-    def test_refit_triggers_after_refit_every_puts(self, tmp_path):
-        runner = BatchRunner(max_workers=1, store=tmp_path / "refit.sqlite",
-                             refit_every=2)
+    """The ``"auto"`` cost model re-arms every ``REFIT_EVERY`` store puts;
+    the tests shrink the constant so a handful of puts crosses it."""
+
+    def test_refit_triggers_after_refit_every_puts(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(runner_module, "REFIT_EVERY", 2)
+        runner = BatchRunner(max_workers=1, store=tmp_path / "refit.sqlite")
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
                      for s in range(3)]
         assert runner.cost_model() is None  # cold store: nothing to fit
-        runner.run(["class-aware-greedy"], instances)  # 3 puts > refit_every
+        runner.run(["class-aware-greedy"], instances)  # 3 puts > REFIT_EVERY
         model = runner.cost_model()  # re-armed by the put counter
         assert model is not None
         assert model.known_algorithms() == ["class-aware-greedy"]
 
-    def test_no_auto_refit_when_disabled(self, tmp_path):
-        runner = BatchRunner(max_workers=1, store=tmp_path / "norefit.sqlite",
-                             refit_every=None)
-        instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
-                     for s in range(3)]
-        assert runner.cost_model() is None  # resolves "auto" -> None (empty)
-        runner.run(["class-aware-greedy"], instances)
-        assert runner.cost_model() is None  # never re-armed
-        assert runner.refit_cost_model() is not None  # manual override works
-
-    def test_explicit_model_is_never_auto_refitted(self, tmp_path):
+    def test_explicit_model_is_never_auto_refitted(self, tmp_path,
+                                                   monkeypatch):
         from repro.store import CostModel
 
+        monkeypatch.setattr(runner_module, "REFIT_EVERY", 1)
         frozen = CostModel.fit([])
         runner = BatchRunner(max_workers=1, store=tmp_path / "frozen.sqlite",
-                             cost_model=frozen, refit_every=1)
+                             cost_model=frozen)
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
                      for s in range(2)]
         runner.run(["class-aware-greedy"], instances)
         assert runner.cost_model() is frozen  # caller's model is sacred
+        refitted = runner.refit_cost_model()  # ...until the caller opts in
+        assert refitted is not None and refitted is not frozen
+        assert refitted.known_algorithms() == ["class-aware-greedy"]
 
-    def test_shared_store_puts_advance_every_tenants_refit(self, tmp_path):
+    def test_shared_store_puts_advance_every_tenants_refit(self, tmp_path,
+                                                           monkeypatch):
         """With get_runner sharing one ResultStore handle, tenant A's
         writes refresh tenant B's predictions."""
         from repro.store import ResultStore
 
+        monkeypatch.setattr(runner_module, "REFIT_EVERY", 2)
         store = ResultStore(tmp_path / "shared.sqlite")
-        writer = BatchRunner(max_workers=1, store=store, refit_every=2)
-        reader = BatchRunner(max_workers=1, store=store, refit_every=2)
+        writer = BatchRunner(max_workers=1, store=store)
+        reader = BatchRunner(max_workers=1, store=store)
         assert reader.cost_model() is None
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
                      for s in range(3)]
@@ -143,7 +145,3 @@ class TestAutoRefit:
         assert model is not None
         assert "class-aware-greedy" in model.known_algorithms()
         store.close()
-
-    def test_invalid_refit_every_rejected(self):
-        with pytest.raises(ValueError, match="refit_every"):
-            BatchRunner(refit_every=0)

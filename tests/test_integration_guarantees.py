@@ -1,8 +1,8 @@
 """Cross-module integration tests: every paper guarantee on a shared instance pool.
 
-These tests are the executable form of EXPERIMENTS.md: for each theorem of
-the paper, the corresponding algorithm is run against the exact optimum on a
-pool of small seeded instances and its proven guarantee is asserted.
+These tests are the executable form of the E-experiments: for each theorem
+of the paper, the corresponding algorithm is run against the exact optimum on
+a pool of small seeded instances and its proven guarantee is asserted.
 """
 
 import numpy as np

@@ -24,8 +24,10 @@ from repro.runtime import (
     instance_fingerprint,
     register_algorithm,
     unregister_algorithm,
+    usable_cpus,
 )
 from repro.runtime.backends import SerialBackend
+from repro.runtime.backends.base import resolve_chunk_size
 
 FAST_GRID = ["lpt-with-setups", "class-aware-greedy", "best-machine"]
 
@@ -113,12 +115,41 @@ class TestDispatchModes:
     def test_chunked_dispatch_preserves_task_order(self):
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
                      for s in range(5)]
-        runner = BatchRunner(max_workers=2, backend="pool", cache=False,
-                             chunk_size=2)
+        runner = BatchRunner(max_workers=2, backend="pool", cache=False)
+        assert resolve_chunk_size(len(FAST_GRID) * len(instances), 2) > 1
         batch = runner.run(FAST_GRID, instances)
         reference = BatchRunner(max_workers=1, cache=False).run(FAST_GRID, instances)
         assert [r.makespan for r in batch.results] == [r.makespan
                                                        for r in reference.results]
+
+    @pytest.mark.slow
+    def test_pool_beats_serial_on_multicore_hosts(self):
+        """Pool dispatch of a PTAS-heavy grid outruns in-process execution
+        once two or more CPUs are usable."""
+        cpus = usable_cpus()
+        if cpus < 2:
+            pytest.skip("pool speedup needs >= 2 usable CPUs")
+        grid = (("ptas-uniform", {"epsilon": 0.05}),
+                ("lpt-with-setups", {}), ("class-aware-greedy", {}))
+        # Instance-major, so the heavy PTAS tasks spread across workers.
+        tasks = [BatchTask.make(name, uniform_instance(200, 12, 20,
+                                                       seed=7000 + i,
+                                                       integral=True), kwargs)
+                 for i in range(16) for name, kwargs in grid]
+
+        def speedup() -> float:
+            serial = BatchRunner(max_workers=1, cache=False).run_tasks(tasks)
+            pooled = BatchRunner(backend="pool", cache=False).run_tasks(tasks)
+            assert not serial.failures() and not pooled.failures()
+            return serial.wall_seconds / pooled.wall_seconds
+
+        # At exactly 2 cores the ceiling is 2.0 minus fork/pickle overhead,
+        # so the 1.5x bar only applies from 3 cores up.
+        required = 1.5 if cpus >= 3 else 1.2
+        best = speedup()
+        if best <= required:  # absorb one load transient before failing
+            best = max(best, speedup())
+        assert best > required
 
     def test_map_matches_serial(self):
         runner = BatchRunner(max_workers=2, backend="pool")
@@ -206,7 +237,7 @@ class TestErrorCapture:
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
                      for s in range(3)]
         runner = BatchRunner(max_workers=2, backend="pool", cache=False,
-                             chunk_size=1, timeout=timeout)
+                             timeout=timeout)
         batch = runner.run([dying_algorithm, "class-aware-greedy"], instances)
         died = batch.by_algorithm(dying_algorithm)
         ok = batch.by_algorithm("class-aware-greedy")
@@ -393,12 +424,12 @@ class TestStreaming:
 
     def test_run_iter_pool_mode_yields_every_task(self):
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
-                     for s in range(5)]
+                     for s in range(10)]
         tasks = [BatchTask.make("class-aware-greedy", inst) for inst in instances]
-        runner = BatchRunner(max_workers=2, backend="pool", cache=False,
-                             chunk_size=2)
+        runner = BatchRunner(max_workers=2, backend="pool", cache=False)
+        assert resolve_chunk_size(len(tasks), 2) > 1  # multi-task chunks
         pairs = list(runner.run_iter(tasks))
-        assert sorted(idx for idx, _ in pairs) == list(range(5))
+        assert sorted(idx for idx, _ in pairs) == list(range(10))
         assert all(np.isfinite(r.makespan) for _, r in pairs)
 
     def test_run_iter_pool_worker_death_still_yields_all(self, dying_algorithm):
@@ -407,8 +438,7 @@ class TestStreaming:
         tasks = [BatchTask.make(name, inst)
                  for inst in instances
                  for name in (dying_algorithm, "class-aware-greedy")]
-        runner = BatchRunner(max_workers=2, backend="pool", cache=False,
-                             chunk_size=1)
+        runner = BatchRunner(max_workers=2, backend="pool", cache=False)
         pairs = dict(runner.run_iter(tasks))
         assert sorted(pairs) == list(range(len(tasks)))
         for idx, task in enumerate(tasks):
@@ -437,10 +467,11 @@ class TestStreaming:
         """Breaking out of run_iter abandons in-flight pool work promptly."""
         inst_fast = uniform_instance(12, 3, 3, seed=0, integral=True)
         inst_slow = uniform_instance(12, 3, 3, seed=1, integral=True)
-        runner = BatchRunner(max_workers=1, backend="pool", cache=False,
-                             chunk_size=1)
+        runner = BatchRunner(max_workers=1, backend="pool", cache=False)
         tasks = [BatchTask.make("class-aware-greedy", inst_fast),
                  BatchTask.make(sleeper_algorithm, inst_slow, {"delay": 5.0})]
+        # One task per chunk: the fast result is not held back by the sleeper.
+        assert resolve_chunk_size(len(tasks), runner.max_workers) == 1
         t0 = time.perf_counter()
         for _idx, result in runner.run_iter(tasks):
             assert np.isfinite(result.makespan)

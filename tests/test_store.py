@@ -150,6 +150,31 @@ class TestDurability:
         fresh_makespans = [float(eval(v)) for v in proc.stdout.strip().split(",")]
         assert fresh_makespans == makespans
 
+    @pytest.mark.slow
+    def test_warm_rerun_is_five_times_faster_than_cold(self, tmp_path):
+        """A fresh runner on a filled store serves every task from it, at
+        least 5x faster than the cold run that computed them."""
+        store_path = tmp_path / "warm.sqlite"
+        grid = (("ptas-uniform", {"epsilon": 0.04}),
+                ("lpt-with-setups", {}), ("class-aware-greedy", {}))
+        tasks = [BatchTask.make(name, uniform_instance(500, 16, 24,
+                                                       seed=7300 + i,
+                                                       integral=True), kwargs)
+                 for i in range(6) for name, kwargs in grid]
+        with ResultStore(store_path) as store:
+            cold = BatchRunner(max_workers=1, store=store)
+            cold_batch = cold.run_tasks(tasks).raise_for_failures()
+            assert cold.stats["store_puts"] == len(tasks)
+        with ResultStore(store_path) as store:
+            warm = BatchRunner(max_workers=1, store=store)
+            warm_batch = warm.run_tasks(tasks).raise_for_failures()
+            assert warm.stats["store_hits"] == len(tasks)
+        assert ([r.makespan for r in warm_batch.results]
+                == [r.makespan for r in cold_batch.results])
+        assert cold_batch.wall_seconds >= 5.0 * warm_batch.wall_seconds, (
+            f"warm re-run only "
+            f"{cold_batch.wall_seconds / warm_batch.wall_seconds:.1f}x faster")
+
     def test_corrupted_store_is_rebuilt(self, tmp_path):
         path = tmp_path / "corrupt.sqlite"
         path.write_bytes(b"this is definitely not a sqlite database\x00\xff" * 64)

@@ -12,15 +12,19 @@ Three layers, matching the design split:
   subprocess fleets over a shared store file, the soak (slow lane) under
   injected crashes and stalls with a fleet capped at 2 (CI runs on one
   CPU);
+* ``TestRetireeLease`` — the supervisor loop over in-process stand-in
+  workers, for the lease a retiring worker takes as it is signalled;
 * ``TestWarmFleet`` — an autoscaled backend's supervisor outlives a
   batch, is replaced when it dies, and stops with the runner pool.
 """
 
 from __future__ import annotations
 
-import pytest
+import time
 
-from repro.analysis.experiments import result_digest
+import pytest
+from conftest import result_digest
+
 from repro.api import Session
 from repro.generators import uniform_instance
 from repro.runtime import (BatchRunner, BatchTask, Supervisor,
@@ -327,6 +331,69 @@ class TestSupervisorSmoke:
             for row in queue.rows([t.cache_key() for t in tasks]):
                 assert row.owner.startswith("sup-")
                 assert row.budget_s == 60.0
+
+
+class _InProcessWorker:
+    """A worker-subprocess stand-in the supervisor polls and signals.
+
+    Each ``poll()`` leases and completes one task in-process.
+    ``terminate()`` can act out the retiree race: a task arrives after
+    the supervisor read an empty queue, and this worker leases it just
+    before the signal lands, dying with the lease held.
+    """
+
+    def __init__(self, path, worker_id: str, late_task=None) -> None:
+        self.queue = TaskQueue(path, lease_s=30.0)
+        self.worker_id = worker_id
+        self.late_task = late_task
+        self.returncode = None
+
+    def poll(self):
+        if self.returncode is None:
+            leased = self.queue.lease(self.worker_id)
+            if leased is not None:
+                self.queue.complete(leased.key, self.worker_id, computed=True)
+        return self.returncode
+
+    def terminate(self) -> None:
+        if self.returncode is None:
+            if self.late_task is not None:
+                self.queue.enqueue([self.late_task])
+                assert self.queue.lease(self.worker_id) is not None
+            self.returncode = -15
+            self.queue.close()
+
+    def wait(self, timeout=None):
+        return self.returncode
+
+
+class TestRetireeLease:
+    def test_task_leased_by_a_retiring_worker_is_not_stranded(self, tmp_path):
+        """A retiree's lease is expired when it is reaped, so a successor
+        computes the late task right away instead of after lease_s."""
+        path = tmp_path / "retiree.sqlite"
+        first, late = _tasks(2, seed0=400)
+        with TaskQueue(path) as queue:
+            queue.enqueue([first])
+        supervisor = Supervisor(path, max_workers=1, lease_s=30.0,
+                                poll_s=0.01, idle_grace_s=0.05)
+        fleet = []
+
+        def spawn(worker_id):
+            fleet.append(_InProcessWorker(path, worker_id,
+                                          late if not fleet else None))
+            return fleet[-1]
+
+        supervisor._spawn_worker = spawn
+        t0 = time.monotonic()
+        summary = supervisor.run()
+        assert time.monotonic() - t0 < 10.0  # far below the 30 s lease
+        assert summary["drained"] is True
+        assert summary["spawned"] == 2 and summary["retired"] == 2
+        with TaskQueue(path) as queue:
+            (row,) = queue.rows([late.cache_key()])
+            assert row.status == "done" and row.owner == fleet[1].worker_id
+            assert row.compute_count == 1
 
 
 class TestWarmFleet:

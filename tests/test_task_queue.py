@@ -31,12 +31,14 @@ import sys
 import time
 
 import pytest
+from conftest import result_digest
 
 from repro.algorithms.base import AlgorithmResult
 from repro.core.bounds import greedy_upper_bound
 from repro.core.instance import Instance
 from repro.generators import uniform_instance
-from repro.runtime import BatchTask, register_algorithm, unregister_algorithm
+from repro.runtime import (BatchRunner, BatchTask, register_algorithm,
+                           unregister_algorithm)
 from repro.runtime.worker import drain
 from repro.store import QUEUE_SCHEMA_VERSION, ResultStore, TaskQueue
 from repro.testing import FakeClock
@@ -50,6 +52,18 @@ def _task(seed: int = 0, algorithm: str = "class-aware-greedy") -> BatchTask:
 def _result_for(task: BatchTask) -> AlgorithmResult:
     _, schedule = greedy_upper_bound(task.instance)
     return AlgorithmResult.from_schedule(task.algorithm, schedule)
+
+
+def _payload_size(path, key: str) -> int:
+    """Bytes of the pickled task a queue row holds."""
+    conn = sqlite3.connect(str(path))
+    try:
+        (size,) = conn.execute(
+            "SELECT length(task_payload) FROM task_queue WHERE key = ?",
+            (key,)).fetchone()
+    finally:
+        conn.close()
+    return size
 
 
 def _src_env() -> dict:
@@ -123,18 +137,35 @@ class TestQueueBasics:
             leased = queue.lease("w1")
             queue.complete(leased.key, "w1", computed=True)
             assert queue.enqueue([task]) == []  # done rows stay done
-            assert queue.requeue([leased.key]) == 1
+            assert queue.requeue([task]) == 1
             (row,) = queue.rows([leased.key])
             assert row.status == "queued" and row.attempts == 0
             assert queue.lease("w2") is not None
+
+    def test_done_rows_drop_the_task_and_requeue_restores_it(self, tmp_path):
+        """A done row keeps no pickled task (its result is in the store);
+        requeue writes the caller's task back, so the re-leased row runs
+        the same work.  A failed row keeps its task."""
+        path = tmp_path / "q.sqlite"
+        done_task, failed_task = _task(seed=0), _task(seed=1)
+        with TaskQueue(path) as queue:
+            queue.enqueue([done_task, failed_task])
+            queue.complete(queue.lease("w1").key, "w1", computed=True)
+            queue.fail(queue.lease("w1").key, "w1", "ValueError: nope")
+            assert _payload_size(path, done_task.cache_key()) == 0
+            assert _payload_size(path, failed_task.cache_key()) > 0
+            assert queue.requeue([done_task]) == 1
+            assert _payload_size(path, done_task.cache_key()) > 0
+            released = queue.lease("w2")
+            assert released.key == done_task.cache_key()
+            assert released.task.cache_key() == done_task.cache_key()
 
     def test_requeue_spares_inflight_rows(self, tmp_path):
         tasks = [_task(seed=s) for s in range(2)]
         with TaskQueue(tmp_path / "q.sqlite") as queue:
             queue.enqueue(tasks, now=100.0)
             leased = queue.lease("w1", now=100.0)
-            assert queue.requeue([t.cache_key() for t in tasks],
-                                 now=100.0) == 0
+            assert queue.requeue(tasks, now=100.0) == 0
             (row,) = queue.rows([leased.key])
             assert row.status == "leased"  # the active lease survived
 
@@ -208,7 +239,7 @@ class TestBudgets:
             queue.enqueue([task], budgets=[4.0])
             leased = queue.lease("w1")
             queue.complete(leased.key, "w1", computed=True)
-            assert queue.requeue([leased.key]) == 1
+            assert queue.requeue([task]) == 1
             assert queue.lease("w2").budget_s == 4.0
 
 
@@ -234,6 +265,27 @@ class TestFakeClock:
             assert queue.lease("w1") is None
             clock.advance(10.5)
             assert queue.lease("w1") is not None
+
+
+    def test_a_retired_workers_lease_requeues_without_waiting(self, tmp_path):
+        """The supervisor expires the leases of a worker it retired, so a
+        task that worker leased just before its SIGTERM is leasable again
+        at once — the clock never advances towards lease_s."""
+        clock = FakeClock(100.0)
+        retiree_task, busy_task = _task(seed=0), _task(seed=1)
+        with TaskQueue(tmp_path / "r.sqlite", lease_s=60.0,
+                       clock=clock) as queue:
+            queue.enqueue([retiree_task, busy_task])
+            queue.lease("retiree")
+            queue.lease("busy")
+            assert queue.lease("w2") is None  # both leases live
+            assert queue.expire_leases("retiree") == 1
+            assert queue.reclaim_expired() == 1  # only the retiree's row
+            again = queue.lease("w2")
+            assert again is not None
+            assert again.task.cache_key() == retiree_task.cache_key()
+            (busy,) = queue.rows([busy_task.cache_key()])
+            assert busy.status == "leased" and busy.owner == "busy"
 
 
 class TestLeaseExpiry:
@@ -386,13 +438,13 @@ class TestWorkerDrain:
 
 class TestCrossProcess:
     def test_two_subprocess_workers_dedup_on_one_store(self, tmp_path):
-        """The F4 property at test scale: N workers, exactly-once compute.
+        """N workers, exactly-once compute, results equal to serial.
 
         Tasks are enqueued first, then two real ``python -m
         repro.runtime.worker`` processes race to drain them; every key
         must end ``done`` with ``compute_count == 1`` and the published
-        results must be readable.  Runs comfortably on one CPU (the
-        workers interleave).
+        results must equal the serial backend's byte for byte.  Runs
+        comfortably on one CPU (the workers interleave).
         """
         path = tmp_path / "shared.sqlite"
         tasks = [_task(seed=s) for s in range(4)]
@@ -417,8 +469,11 @@ class TestCrossProcess:
             counts = queue.compute_counts([t.cache_key() for t in tasks])
             assert all(c == 1 for c in counts.values()), counts
         with ResultStore(path) as store:
-            for task in tasks:
-                assert store.get(task) is not None
+            published = [store.get(task) for task in tasks]
+        assert all(result is not None for result in published)
+        serial = BatchRunner(max_workers=1, backend="serial",
+                             cache=False).run_tasks(tasks)
+        assert result_digest(published) == result_digest(serial.results)
 
     def test_worker_crash_requeues_with_exclusion(self, tmp_path):
         """A chaos worker killed mid-lease (``--crash-after 0
